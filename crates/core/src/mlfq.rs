@@ -108,6 +108,12 @@ impl Mlfq {
         None
     }
 
+    /// The enqueued clusters in the order [`Mlfq::pop`] would return them
+    /// if nothing were pushed in between.
+    pub fn iter(&self) -> impl Iterator<Item = ClusterId> + '_ {
+        self.queues.iter().flatten().copied()
+    }
+
     /// Occupancy per queue, highest priority first (diagnostics).
     pub fn occupancy(&self) -> Vec<usize> {
         self.queues.iter().map(|q| q.len()).collect()
@@ -179,6 +185,19 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         q.push(1, 0.0); // highest → lowest
         assert_eq!((q.promotions(), q.demotions()), (1, 1));
+    }
+
+    #[test]
+    fn iter_follows_pop_order() {
+        let mut q = Mlfq::new(mlfq_ranges(3));
+        q.push(1, 0.0);
+        q.push(2, 50.0);
+        q.push(3, 2.0);
+        q.push(4, 50.0);
+        let ahead: Vec<ClusterId> = q.iter().collect();
+        let popped: Vec<ClusterId> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(ahead, popped);
+        assert_eq!(popped, vec![2, 4, 3, 1]);
     }
 
     #[test]

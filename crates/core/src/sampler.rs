@@ -14,24 +14,35 @@
 
 use crate::config::EulerFdConfig;
 use crate::mlfq::{ClusterId, Mlfq};
+use fd_core::parallel::ROUND_PAIRS_PER_WORKER;
 use fd_core::{AttrSet, Budget, FastHashSet, Fd, NCover, Termination};
-use fd_relation::{sampling_clusters_parallel, Relation, RowId, RowMajor};
+use fd_relation::{sampling_clusters_parallel, Relation, RowId, RowMajor, WindowJob};
 use std::collections::VecDeque;
 
 /// Counters exposed in the discovery report.
 #[derive(Clone, Debug, Default)]
 pub struct SamplerStats {
-    /// Total tuple pairs compared.
+    /// Tuple pairs of the samples Algorithm 1 took (speculated pairs count
+    /// once their sample is consumed, so a pair budget means the same at
+    /// every thread count).
     pub pairs_compared: u64,
+    /// Tuple pairs compared by compare rounds, consumed or not. Diagnostic
+    /// only: the speculative lookahead depends on the thread count, and
+    /// pairs speculated for clusters the run never samples again are
+    /// wasted, so this may exceed `pairs_compared`.
+    pub speculated_pairs: u64,
     /// Agree sets that survived the comparison kernel's novelty pre-filter
-    /// and reached the sequential cover fold. Diagnostic only: a set
-    /// straddling two worker chunks is counted once per chunk, so this may
-    /// grow slightly with the thread count (the fold collapses duplicates,
-    /// keeping the covers themselves thread-invariant).
+    /// and reached the sequential cover fold. Diagnostic only: a round may
+    /// pre-filter against an older snapshot of the seen-set, and a set
+    /// straddling two position ranges of one cluster is counted once per
+    /// range, so this may grow with the thread count (the fold collapses
+    /// duplicates, keeping the covers themselves thread-invariant).
     pub fold_candidates: u64,
     /// `sample()` invocations.
     pub samples: u64,
-    /// Largest number of kernel worker threads any single sample used.
+    /// Compare rounds run (one per sample at 1 thread).
+    pub compare_rounds: u64,
+    /// Largest number of kernel worker threads any compare round used.
     pub peak_workers: usize,
     /// Clusters in the initial population.
     pub clusters_total: usize,
@@ -53,17 +64,38 @@ struct ClusterState {
     window: usize,
     /// capa values of the most recent samples (bounded FIFO).
     recent: VecDeque<f64>,
+    /// The compare result of this cluster's sample, computed ahead by a
+    /// speculative round: the window it was computed at and the novel
+    /// candidates in pair order.
+    speculated: Option<(usize, Vec<AttrSet>)>,
+}
+
+impl ClusterState {
+    fn job(&self) -> WindowJob<'_> {
+        WindowJob { rows: &self.rows, window: self.window }
+    }
 }
 
 /// The sampling module: cluster population + MLFQ + agree-set dedup.
 ///
-/// Each sample is executed in three steps: **plan** (drain the cluster's
-/// current window positions into a pair batch — sequential, driven by the
-/// MLFQ), **compare** (the data-parallel [`RowMajor`] kernel computes agree
-/// sets and pre-filters already-seen ones), and **fold** (candidates enter
-/// the negative cover sequentially, in plan order). Only the pure compare
-/// step is threaded, so the discovered covers are byte-identical for every
-/// thread count.
+/// Each sample is executed in three steps: **plan** (the cluster's current
+/// window positions — sequential, driven by the MLFQ), **compare** (the
+/// data-parallel [`RowMajor`] kernel computes agree sets and pre-filters
+/// already-seen ones), and **fold** (candidates enter the negative cover
+/// sequentially, in pair order).
+///
+/// The compare step runs in **speculative rounds**: when a sample has no
+/// precomputed result, the round compares that cluster together with the
+/// clusters Algorithm 1 will sample next (the following cluster ids during
+/// the initial pass, the MLFQ's pop order afterwards), up to
+/// [`ROUND_PAIRS_PER_WORKER`] pairs per worker. Each result is stored with
+/// its `(cluster, window)` and consumed when the cluster is actually sampled
+/// at that window. This is exact: the compare is a pure function of
+/// `(cluster, window)`, a window only advances when its cluster is sampled,
+/// and the pre-filter's seen-set snapshot is a subset of the set at fold
+/// time, where the fold re-checks it. So the covers, `pairs_compared` and
+/// every capa — hence the MLFQ schedule — are identical for every thread
+/// count. At one thread a round holds only the sampled cluster.
 pub struct Sampler {
     clusters: Vec<ClusterState>,
     mlfq: Mlfq,
@@ -75,8 +107,13 @@ pub struct Sampler {
     row_major: RowMajor,
     /// Kernel worker threads (resolved; ≥ 1).
     threads: usize,
-    /// Reused pair batch of the plan step.
-    pair_buf: Vec<(RowId, RowId)>,
+    /// True while [`Sampler::initial_pass`] walks the clusters in id order;
+    /// selects the lookahead order of compare rounds.
+    in_initial_pass: bool,
+    /// Reused buffers of `compare_round`: the round's clusters and their
+    /// candidate lists (a round runs per sample at one thread).
+    round_ids: Vec<ClusterId>,
+    round_results: Vec<Vec<AttrSet>>,
     recent_window: usize,
     stats: SamplerStats,
 }
@@ -112,7 +149,12 @@ impl Sampler {
     ) -> Self {
         let clusters: Vec<ClusterState> = clusters
             .into_iter()
-            .map(|rows| ClusterState { rows, window: 2, recent: VecDeque::new() })
+            .map(|rows| ClusterState {
+                rows,
+                window: 2,
+                recent: VecDeque::new(),
+                speculated: None,
+            })
             .collect();
         let stats = SamplerStats { clusters_total: clusters.len(), ..Default::default() };
         Sampler {
@@ -122,7 +164,9 @@ impl Sampler {
             seen_agree: FastHashSet::default(),
             row_major: relation.row_major(),
             threads: config.resolved_threads(),
-            pair_buf: Vec::new(),
+            in_initial_pass: false,
+            round_ids: Vec::new(),
+            round_results: Vec::new(),
             recent_window: config.recent_window.max(1),
             stats,
         }
@@ -139,45 +183,94 @@ impl Sampler {
     /// stay out of the MLFQ — exactly as if the queue had drained.
     pub fn initial_pass_budgeted(
         &mut self,
-        relation: &Relation,
+        _relation: &Relation,
         ncover: &mut NCover,
         pending: &mut Vec<Fd>,
         budget: &Budget,
     ) -> Option<Termination> {
+        self.in_initial_pass = true;
+        let mut tripped = None;
         for id in 0..self.clusters.len() {
             if let Some(t) = budget.poll(self.stats.pairs_compared, ncover.len()) {
-                return Some(t);
+                tripped = Some(t);
+                break;
             }
-            self.sample_cluster(id as ClusterId, relation, ncover, pending);
+            self.sample_cluster(id as ClusterId, ncover, pending);
         }
-        None
+        self.in_initial_pass = false;
+        tripped
     }
 
     /// Algorithm 1 lines 5–10: one sample of the head of the highest
     /// non-empty queue. Returns false when the MLFQ is empty.
     pub fn sample_next(
         &mut self,
-        relation: &Relation,
+        _relation: &Relation,
         ncover: &mut NCover,
         pending: &mut Vec<Fd>,
     ) -> bool {
         match self.mlfq.pop() {
             Some(id) => {
-                self.sample_cluster(id, relation, ncover, pending);
+                self.sample_cluster(id, ncover, pending);
                 true
             }
             None => false,
         }
     }
 
+    /// The compare step for cluster `id` at its current window: compares it
+    /// in one round together with the clusters sampled after it, until the
+    /// round holds [`ROUND_PAIRS_PER_WORKER`] pairs per worker, and stores
+    /// every result on its cluster. Clusters that already hold a result
+    /// count toward the target but are not compared again, which bounds
+    /// the work stored ahead to about one round.
+    fn compare_round(&mut self, id: ClusterId) {
+        let mut ids = std::mem::take(&mut self.round_ids);
+        ids.clear();
+        ids.push(id);
+        if self.threads > 1 {
+            let target = ROUND_PAIRS_PER_WORKER * self.threads;
+            let mut planned = self.clusters[id as usize].job().pairs();
+            let n = self.clusters.len() as ClusterId;
+            let upcoming: Box<dyn Iterator<Item = ClusterId> + '_> = if self.in_initial_pass {
+                Box::new(id + 1..n)
+            } else {
+                Box::new(self.mlfq.iter())
+            };
+            for next in upcoming {
+                if planned >= target {
+                    break;
+                }
+                let state = &self.clusters[next as usize];
+                let pairs = state.job().pairs();
+                planned += pairs;
+                if state.speculated.is_none() && pairs > 0 {
+                    ids.push(next);
+                }
+            }
+        }
+        let jobs: Vec<WindowJob<'_>> =
+            ids.iter().map(|&c| self.clusters[c as usize].job()).collect();
+        let mut results = std::mem::take(&mut self.round_results);
+        let batch = self.row_major.novel_agree_sets_round(
+            &jobs,
+            &self.seen_agree,
+            self.threads,
+            &mut results,
+        );
+        self.stats.speculated_pairs += batch.pairs_compared;
+        self.stats.compare_rounds += 1;
+        self.stats.peak_workers = self.stats.peak_workers.max(batch.workers);
+        for (&c, candidates) in ids.iter().zip(results.drain(..)) {
+            let state = &mut self.clusters[c as usize];
+            state.speculated = Some((state.window, candidates));
+        }
+        self.round_ids = ids;
+        self.round_results = results;
+    }
+
     /// Algorithm 1 lines 13–21 (`sample(cluster)`), as plan → compare → fold.
-    fn sample_cluster(
-        &mut self,
-        id: ClusterId,
-        _relation: &Relation,
-        ncover: &mut NCover,
-        pending: &mut Vec<Fd>,
-    ) {
+    fn sample_cluster(&mut self, id: ClusterId, ncover: &mut NCover, pending: &mut Vec<Fd>) {
         let state = &mut self.clusters[id as usize];
         let len = state.rows.len();
         let window = state.window;
@@ -187,22 +280,24 @@ impl Sampler {
         }
         let pairs = len - window + 1;
 
-        // Plan: enumerate this sample's window positions as a pair batch.
-        self.pair_buf.clear();
-        self.pair_buf
-            .extend((0..pairs).map(|i| (state.rows[i], state.rows[i + window - 1])));
+        // Compare: consume the result a round stored for this window, or
+        // run a round that starts with this cluster.
+        let candidates = match state.speculated.take() {
+            Some((w, candidates)) if w == window => candidates,
+            _ => {
+                self.compare_round(id);
+                let state = &mut self.clusters[id as usize];
+                state.speculated.take().map(|(_, c)| c).unwrap_or_default()
+            }
+        };
 
-        // Compare: the data-parallel kernel computes agree sets and filters
-        // out sets already in `seen_agree` (a read-only snapshot here —
-        // workers never mutate shared state).
-        let (candidates, batch) =
-            self.row_major.novel_agree_sets(&self.pair_buf, &self.seen_agree, self.threads);
-
-        // Fold: sequential, in plan order. Re-checking `seen_agree.insert`
-        // keeps the cover semantics exact even when a set reached the
-        // candidate list once per worker chunk.
+        // Fold: sequential, in pair order. Re-checking `seen_agree.insert`
+        // keeps the cover semantics exact: the round pre-filtered against an
+        // older subset of `seen_agree`, and a set may reach the fold once
+        // per position range of a split cluster.
         let mut new_non_fds = 0usize;
         let mut duplicates = 0u64;
+        self.stats.fold_candidates += candidates.len() as u64;
         for agree in candidates {
             if self.seen_agree.insert(agree) {
                 new_non_fds += ncover.add_agree_set_collect(agree, pending);
@@ -210,17 +305,14 @@ impl Sampler {
                 duplicates += 1;
             }
         }
-        self.stats.pairs_compared += batch.pairs_compared;
-        self.stats.fold_candidates += batch.candidates;
-        self.stats.peak_workers = self.stats.peak_workers.max(batch.workers);
+        self.stats.pairs_compared += pairs as u64;
         self.stats.samples += 1;
         fd_telemetry::counter!("euler.sampler.samples", 1);
-        fd_telemetry::counter!("euler.sampler.pairs_compared", batch.pairs_compared);
-        // Thread-dependent diagnostic, like `fold_candidates`: a set that
-        // straddled worker chunks reaches the fold once per chunk.
+        fd_telemetry::counter!("euler.sampler.pairs_compared", pairs as u64);
+        // Thread-dependent diagnostic, like `fold_candidates`: a round's
+        // pre-filter snapshot can be older than the fold's seen-set.
         fd_telemetry::counter!("euler.sampler.duplicate_candidates", duplicates);
         fd_telemetry::counter!("euler.sampler.new_non_fds", new_non_fds as u64);
-
         let capa = new_non_fds as f64 / pairs as f64;
         let state = &mut self.clusters[id as usize];
         if state.recent.len() == self.recent_window {
@@ -348,11 +440,11 @@ mod tests {
             .iter()
             .position(|c| c.rows == vec![0, 2, 3, 4, 5, 6])
             .expect("Female cluster present") as ClusterId;
-        sampler.sample_cluster(c1, &r, &mut ncover, &mut pending);
+        sampler.sample_cluster(c1, &mut ncover, &mut pending);
         assert_eq!(sampler.stats().pairs_compared, 5);
-        sampler.sample_cluster(c1, &r, &mut ncover, &mut pending);
+        sampler.sample_cluster(c1, &mut ncover, &mut pending);
         assert_eq!(sampler.stats().pairs_compared, 9);
-        sampler.sample_cluster(c1, &r, &mut ncover, &mut pending);
+        sampler.sample_cluster(c1, &mut ncover, &mut pending);
         assert_eq!(sampler.stats().pairs_compared, 12);
     }
 
@@ -393,7 +485,7 @@ mod tests {
             // can retire again: one zero-capa sample must not retire it.
             let before = sampler.stats().clusters_retired;
             let popped = sampler.mlfq.pop().expect("revived cluster queued");
-            sampler.sample_cluster(popped, &r, &mut ncover, &mut pending);
+            sampler.sample_cluster(popped, &mut ncover, &mut pending);
             let state = &sampler.clusters[popped as usize];
             if state.window <= state.rows.len() {
                 assert_eq!(
@@ -403,6 +495,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Two clusters, {0,1} and {2,3}, whose window-2 pairs share the agree
+    /// set {x, z}; the constant column z adds a third cluster.
+    fn shared_agree_relation() -> Relation {
+        let mut b = fd_relation::RelationBuilder::new(
+            "shared",
+            vec!["x".to_string(), "y".to_string(), "z".to_string()],
+        );
+        for row in [["0", "0", "0"], ["0", "1", "0"], ["1", "2", "0"], ["1", "3", "0"]] {
+            b.push_row(&row);
+        }
+        b.finish()
+    }
+
+    fn cluster_of(sampler: &Sampler, rows: &[RowId]) -> ClusterId {
+        sampler.clusters.iter().position(|c| c.rows == rows).expect("cluster present")
+            as ClusterId
+    }
+
+    #[test]
+    fn speculated_clusters_folded_out_of_order_match_unspeculated_run() {
+        let r = shared_agree_relation();
+        let config = EulerFdConfig::default();
+        let run = |speculate: bool| {
+            let mut sampler = Sampler::new(&r, &config);
+            let a = cluster_of(&sampler, &[0, 1]);
+            let b = cluster_of(&sampler, &[2, 3]);
+            let mut ncover = NCover::new(r.n_attrs());
+            let mut pending = Vec::new();
+            if speculate {
+                // One round from cluster a speculates every later cluster id
+                // (b included) against the same empty seen-set snapshot.
+                sampler.threads = 2;
+                sampler.in_initial_pass = true;
+                sampler.compare_round(a.min(b));
+                sampler.in_initial_pass = false;
+                let shared = AttrSet::from_attrs([0, 2]);
+                for c in [a, b] {
+                    let (w, candidates) =
+                        sampler.clusters[c as usize].speculated.as_ref().expect("speculated");
+                    assert_eq!(*w, 2);
+                    assert_eq!(candidates, &vec![shared], "cluster {c}");
+                }
+                assert_eq!(sampler.stats().compare_rounds, 1);
+            }
+            // Fold in the opposite order of the round: b, then a.
+            sampler.sample_cluster(b, &mut ncover, &mut pending);
+            sampler.sample_cluster(a, &mut ncover, &mut pending);
+            assert_eq!(sampler.stats().pairs_compared, 2);
+            let capa = |c: ClusterId| sampler.clusters[c as usize].recent.clone();
+            (format!("{:?}", ncover.to_fds()), pending, capa(b), capa(a))
+        };
+        let (plain_cover, plain_pending, plain_b, plain_a) = run(false);
+        let (spec_cover, spec_pending, spec_b, spec_a) = run(true);
+        assert_eq!(spec_cover, plain_cover);
+        assert_eq!(spec_pending, plain_pending);
+        // b, folded first, is credited with the shared set; a's sample finds
+        // nothing new either way.
+        assert_eq!(spec_b, plain_b);
+        assert!(plain_b[0] > 0.0);
+        assert_eq!(spec_a, plain_a);
+        assert_eq!(plain_a, VecDeque::from(vec![0.0]));
+    }
+
+    #[test]
+    fn one_thread_rounds_hold_only_the_sampled_cluster() {
+        let (r, mut sampler, mut ncover, mut pending) = setup();
+        sampler.initial_pass(&r, &mut ncover, &mut pending);
+        while sampler.sample_next(&r, &mut ncover, &mut pending) {}
+        let s = sampler.stats();
+        assert_eq!(s.compare_rounds, s.samples);
+        assert_eq!(s.speculated_pairs, s.pairs_compared);
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //! engage parallelism a little early, which the per-worker quantum absorbs.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::RwLock;
 use std::time::Instant;
 
 /// Minimum work units per worker before spawning is worth it.
@@ -56,6 +57,15 @@ use std::time::Instant;
 /// engaged at 4096 pairs × ~16 attrs ≈ 64Ki units per worker, and cover
 /// inversion at 64 jobs × ~1Ki tree-node visits.
 pub const MIN_UNITS_PER_WORKER: u64 = 65_536;
+
+/// Tuple pairs per worker that one speculative sampling round aims to
+/// compare. A single sample averages ~100 pairs on row-heavy data, far
+/// below one worker's quantum, so the sampler compares the clusters it will
+/// sample next in the same fan-out (see `eulerfd::Sampler`). At 2 workers
+/// and 16 attributes a round is 64Ki pairs = 16 quanta: enough chunks to
+/// balance, while the lookahead — and any speculation the run never
+/// consumes — stays around one round. Only multi-worker runs speculate.
+pub const ROUND_PAIRS_PER_WORKER: usize = 32_768;
 
 /// Chunks per worker a work-stealing fan-out aims for. More chunks mean
 /// finer rebalancing under skew but more claim traffic; 4 keeps the claim
@@ -118,10 +128,49 @@ pub fn decide(work_items: usize, cost_hint: u64, threads: usize) -> usize {
 pub fn decide_at(site: &str, work_items: usize, cost_hint: u64, threads: usize) -> usize {
     let workers = decide(work_items, cost_hint, threads);
     if fd_telemetry::is_enabled() {
-        fd_telemetry::registry()
-            .observe_by_name(&format!("parallel.workers.{site}"), workers as u64);
+        let id = site_metric_id(SiteMetric::Workers, site);
+        fd_telemetry::registry().histogram(id).observe(workers as u64);
     }
     workers
+}
+
+/// The per-site metrics of the parallel policy, each named
+/// `<prefix>.<site>`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SiteMetric {
+    /// `parallel.workers.<site>` histogram.
+    Workers,
+    /// `parallel.busy_pct.<site>` histogram.
+    BusyPct,
+    /// `parallel.steals.<site>` counter.
+    Steals,
+}
+
+/// The registry id of `metric` at `site`, interned once per process: later
+/// calls find it in a short list under a read lock, so a hot fan-out (the
+/// sampler runs hundreds of compare rounds per discovery) neither formats
+/// a name nor touches the registry's name table. The registry never forgets
+/// a name (`reset` only zeroes values), so cached ids stay valid.
+fn site_metric_id(metric: SiteMetric, site: &str) -> usize {
+    static IDS: RwLock<Vec<(SiteMetric, String, usize)>> = RwLock::new(Vec::new());
+    let find = |ids: &[(SiteMetric, String, usize)]| {
+        ids.iter().find(|(m, name, _)| *m == metric && name == site).map(|&(_, _, id)| id)
+    };
+    if let Some(id) = find(&IDS.read().unwrap_or_else(|e| e.into_inner())) {
+        return id;
+    }
+    let mut ids = IDS.write().unwrap_or_else(|e| e.into_inner());
+    if let Some(id) = find(&ids) {
+        return id;
+    }
+    let registry = fd_telemetry::registry();
+    let id = match metric {
+        SiteMetric::Workers => registry.histogram_id(&format!("parallel.workers.{site}")),
+        SiteMetric::BusyPct => registry.histogram_id(&format!("parallel.busy_pct.{site}")),
+        SiteMetric::Steals => registry.counter_id(&format!("parallel.steals.{site}")),
+    };
+    ids.push((metric, site.to_owned(), id));
+    id
 }
 
 /// Counters of one [`fan_out_stealing`] call, summed over its workers.
@@ -155,7 +204,8 @@ pub fn steal_chunk_count(items: usize, workers: usize, min_items_per_chunk: usiz
 }
 
 /// Runs `run_chunk(i)` for every `i in 0..n_chunks` on up to `workers`
-/// scoped threads, with chunk indices handed out by an atomic claim cursor:
+/// threads — the caller plus `workers - 1` scoped threads — with chunk
+/// indices handed out by an atomic claim cursor:
 /// a worker finishing its chunk immediately steals the next unclaimed index,
 /// so skewed per-chunk costs no longer idle workers the way a fixed
 /// `div_ceil` split did.
@@ -189,56 +239,57 @@ where
         return StealStats { chunks_claimed: n_chunks as u64, steals: 0, workers: 1 };
     }
     let telemetry = fd_telemetry::is_enabled();
+    let busy_id = telemetry.then(|| site_metric_id(SiteMetric::BusyPct, site));
     let cursor = AtomicUsize::new(0);
     let steal_total = AtomicU64::new(0);
     // The static split a non-stealing fan-out would have used; claims
     // outside a worker's static share count as steals.
     let static_share = n_chunks.div_ceil(workers).max(1);
     let scope_start = Instant::now();
+    // One worker's claim loop; returns its time inside `run_chunk`.
+    let work = |w: usize| {
+        let mut steals = 0u64;
+        let mut busy = std::time::Duration::ZERO;
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n_chunks {
+                break;
+            }
+            if i / static_share != w {
+                steals += 1;
+            }
+            // A delay here stalls one worker and lets the claim cursor
+            // rebalance the remaining chunks; a panic is re-raised on the
+            // caller's thread by the join below.
+            let _ = fd_faults::inject!("parallel.worker");
+            if telemetry {
+                let t0 = Instant::now();
+                run_chunk(i);
+                busy += t0.elapsed();
+            } else {
+                run_chunk(i);
+            }
+        }
+        steal_total.fetch_add(steals, Ordering::Relaxed);
+        busy
+    };
+    let observe_busy = |busy: std::time::Duration| {
+        if let Some(id) = busy_id {
+            let wall = scope_start.elapsed().as_secs_f64().max(1e-9);
+            let pct = ((busy.as_secs_f64() / wall) * 100.0).min(100.0) as u64;
+            fd_telemetry::registry().histogram(id).observe(pct);
+        }
+    };
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let cursor = &cursor;
-                let steal_total = &steal_total;
-                let run_chunk = &run_chunk;
-                s.spawn(move || {
-                    let mut steals = 0u64;
-                    let mut busy = std::time::Duration::ZERO;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_chunks {
-                            break;
-                        }
-                        if i / static_share != w {
-                            steals += 1;
-                        }
-                        // A delay here stalls one worker and lets the claim
-                        // cursor rebalance the remaining chunks; a panic is
-                        // re-raised on the caller's thread by the join below.
-                        let _ = fd_faults::inject!("parallel.worker");
-                        if telemetry {
-                            let t0 = Instant::now();
-                            run_chunk(i);
-                            busy += t0.elapsed();
-                        } else {
-                            run_chunk(i);
-                        }
-                    }
-                    steal_total.fetch_add(steals, Ordering::Relaxed);
-                    busy
-                })
-            })
-            .collect();
+        // The caller is worker 0: one spawn fewer per fan-out, and it claims
+        // chunks instead of idling until the join.
+        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+        observe_busy(work(0));
         for handle in handles {
             let busy = handle
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            if telemetry {
-                let wall = scope_start.elapsed().as_secs_f64().max(1e-9);
-                let pct = ((busy.as_secs_f64() / wall) * 100.0).min(100.0) as u64;
-                fd_telemetry::registry()
-                    .observe_by_name(&format!("parallel.busy_pct.{site}"), pct);
-            }
+            observe_busy(busy);
         }
     });
     let stats = StealStats {
@@ -249,8 +300,8 @@ where
     fd_telemetry::counter!("parallel.steal_count", stats.steals);
     fd_telemetry::counter!("parallel.chunks_claimed", stats.chunks_claimed);
     if telemetry {
-        fd_telemetry::registry()
-            .counter_add_by_name(&format!("parallel.steals.{site}"), stats.steals);
+        let id = site_metric_id(SiteMetric::Steals, site);
+        fd_telemetry::registry().counter(id).add(stats.steals);
     }
     stats
 }
@@ -302,6 +353,19 @@ mod tests {
         for (items, cost, threads) in [(1_000_000, 16, 8), (100, 16, 8), (3, u64::MAX, 8)] {
             assert_eq!(decide_at("test.site", items, cost, threads), decide(items, cost, threads));
         }
+    }
+
+    #[test]
+    fn site_metric_ids_are_interned_once_per_name() {
+        let workers = site_metric_id(SiteMetric::Workers, "test.intern");
+        assert_eq!(site_metric_id(SiteMetric::Workers, "test.intern"), workers);
+        let registry = fd_telemetry::registry();
+        assert_eq!(registry.histogram_id("parallel.workers.test.intern"), workers);
+        let busy = site_metric_id(SiteMetric::BusyPct, "test.intern");
+        assert_eq!(registry.histogram_id("parallel.busy_pct.test.intern"), busy);
+        let steals = site_metric_id(SiteMetric::Steals, "test.intern");
+        assert_eq!(registry.counter_id("parallel.steals.test.intern"), steals);
+        assert_ne!(site_metric_id(SiteMetric::Workers, "test.intern.other"), workers);
     }
 
     #[test]

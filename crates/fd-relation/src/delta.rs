@@ -20,8 +20,9 @@
 //!
 //! [`Relation::apply_delta`]: crate::Relation::apply_delta
 
+use crate::dictionary::Dictionary;
 use crate::relation::{NullLabeling, RowId};
-use fd_core::{AttrSet, FastHashMap};
+use fd_core::AttrSet;
 
 /// The outcome of one [`Relation::apply_delta`] batch: which rows appeared
 /// and disappeared, and how the inserted labels relate to the surviving
@@ -99,18 +100,19 @@ impl RowDelta {
 /// consistently with the base table.
 #[derive(Clone, Debug)]
 pub struct ColumnDictionaries {
-    dictionaries: Vec<FastHashMap<String, u32>>,
+    dictionaries: Vec<Dictionary>,
     shared_null: Vec<Option<u32>>,
     next_label: Vec<u32>,
 }
 
 impl ColumnDictionaries {
-    pub(crate) fn new(
-        dictionaries: Vec<FastHashMap<String, u32>>,
-        shared_null: Vec<Option<u32>>,
-        next_label: Vec<u32>,
-    ) -> Self {
-        ColumnDictionaries { dictionaries, shared_null, next_label }
+    /// Empty dictionaries for an `n`-column schema.
+    pub(crate) fn with_columns(n: usize) -> Self {
+        ColumnDictionaries {
+            dictionaries: (0..n).map(|_| Dictionary::default()).collect(),
+            shared_null: vec![None; n],
+            next_label: vec![0; n],
+        }
     }
 
     /// Number of columns the dictionaries cover.
@@ -124,7 +126,10 @@ impl ColumnDictionaries {
     /// Panics if the row width differs from the schema width.
     pub fn encode_row<S: AsRef<str>>(&mut self, row: &[S]) -> Vec<u32> {
         assert_eq!(row.len(), self.n_attrs(), "row width mismatch");
-        row.iter().enumerate().map(|(a, v)| self.encode(a, v.as_ref())).collect()
+        row.iter()
+            .enumerate()
+            .map(|(a, v)| self.encode_cell(a, Some(v.as_ref()), NullLabeling::Shared))
+            .collect()
     }
 
     /// Encodes one raw row where `None` marks a missing value, labeled per
@@ -139,32 +144,38 @@ impl ColumnDictionaries {
         labeling: NullLabeling,
     ) -> Vec<u32> {
         assert_eq!(row.len(), self.n_attrs(), "row width mismatch");
-        row.iter()
-            .enumerate()
-            .map(|(a, value)| match value {
-                Some(v) => self.encode(a, v),
-                None => match labeling {
-                    NullLabeling::Shared => match self.shared_null[a] {
-                        Some(l) => l,
-                        None => {
-                            let l = self.fresh(a);
-                            self.shared_null[a] = Some(l);
-                            l
-                        }
-                    },
-                    NullLabeling::Distinct => self.fresh(a),
-                },
-            })
-            .collect()
+        row.iter().enumerate().map(|(a, &value)| self.encode_cell(a, value, labeling)).collect()
     }
 
-    fn encode(&mut self, a: usize, value: &str) -> u32 {
-        let next = self.next_label[a];
-        let label = *self.dictionaries[a].entry(value.to_owned()).or_insert(next);
-        if label == next {
-            self.next_label[a] += 1;
+    /// The label of one cell of column `a`; `None` is a missing value,
+    /// labeled per `labeling`. Known values are looked up by `&str`; no
+    /// value allocates.
+    pub(crate) fn encode_cell(
+        &mut self,
+        a: usize,
+        value: Option<&str>,
+        labeling: NullLabeling,
+    ) -> u32 {
+        match value {
+            Some(v) => {
+                let next = &mut self.next_label[a];
+                self.dictionaries[a].get_or_insert_with(v, || {
+                    *next += 1;
+                    *next - 1
+                })
+            }
+            None => match labeling {
+                NullLabeling::Shared => match self.shared_null[a] {
+                    Some(l) => l,
+                    None => {
+                        let l = self.fresh(a);
+                        self.shared_null[a] = Some(l);
+                        l
+                    }
+                },
+                NullLabeling::Distinct => self.fresh(a),
+            },
         }
-        label
     }
 
     fn fresh(&mut self, a: usize) -> u32 {

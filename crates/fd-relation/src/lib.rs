@@ -29,6 +29,7 @@
 pub mod approx;
 pub mod csv;
 pub mod delta;
+mod dictionary;
 pub mod discovery;
 pub mod partition;
 pub mod pli_cache;
@@ -50,7 +51,7 @@ pub use pli_cache::{sampling_clusters_cached, MemoryPressure, PliCache, PliCache
 pub use profile::{profile, ColumnProfile, RelationProfile};
 pub use relation::{
     agree_of_rows, packed_agree_of_rows, BatchStats, NullLabeling, Relation, RelationBuilder,
-    RowId, RowMajor,
+    RowId, RowMajor, WindowJob,
 };
 
 /// Convenient glob import for examples and tests.

@@ -10,7 +10,8 @@
 
 use crate::delta::{ColumnDictionaries, RowDelta};
 use fd_core::{AttrId, AttrSet, FastHashMap, FastHashSet, ATTR_WORDS, MAX_ATTRS};
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 /// Identifier of a row (tuple) within a relation.
 pub type RowId = u32;
@@ -350,6 +351,23 @@ impl std::ops::AddAssign for BatchStats {
     }
 }
 
+/// One cluster's sample in a compare round: the window pairs
+/// `(rows[i], rows[i + window - 1])` for every position `i` the window fits.
+#[derive(Clone, Copy, Debug)]
+pub struct WindowJob<'a> {
+    /// The cluster's rows, in sampling order.
+    pub rows: &'a [RowId],
+    /// The window size (≥ 2): the distance between a pair's rows plus one.
+    pub window: usize,
+}
+
+impl WindowJob<'_> {
+    /// Number of window positions, i.e. pairs this job compares.
+    pub fn pairs(&self) -> usize {
+        (self.rows.len() + 1).saturating_sub(self.window)
+    }
+}
+
 /// A row-major packed mirror of a [`Relation`].
 ///
 /// The column-major master layout is ideal for per-attribute passes
@@ -427,71 +445,103 @@ impl RowMajor {
         out
     }
 
-    /// The comparison kernel of the sampling module: computes the agree set
-    /// of every pair and keeps only *novel* ones — not present in `seen`
-    /// (a read-only snapshot of the caller's dedup set) and not repeated
-    /// within the worker's own chunk.
+    /// The comparison kernel of the sampling module: one **compare round**
+    /// over several clusters' window samples. For each job it computes the
+    /// agree set of every window pair and keeps only *novel* ones — not
+    /// present in `seen` (a read-only snapshot of the caller's dedup set)
+    /// and not repeated earlier in the same job piece.
     ///
-    /// The returned sets preserve pair order (worker chunks are concatenated
-    /// in plan order, never completion order). A set straddling two chunks
-    /// may appear once per chunk; the caller's sequential fold deduplicates
-    /// across chunks, so the *folded* outcome is byte-identical for every
-    /// thread count.
-    pub fn novel_agree_sets(
+    /// Fills `out` with one candidate list per job, in pair order (`out` is
+    /// caller-owned scratch, so a round allocates only for the candidates
+    /// it finds). Pairs are planned
+    /// inside the workers straight from the jobs' row slices, so no pair
+    /// list is ever materialized. Small jobs are grouped into chunks of at
+    /// least `MIN_PAIRS_PER_CHUNK` pairs; a job larger than one chunk is
+    /// split into position ranges, each deduplicated on its own, so a set
+    /// straddling two ranges may appear once per range. Jobs are never
+    /// deduplicated against each other: each job's list is folded on its
+    /// own, possibly long after a later job's. The caller's sequential fold
+    /// re-checks its seen-set, which collapses straddle duplicates and makes
+    /// the folded outcome identical for every thread count.
+    pub fn novel_agree_sets_round(
         &self,
-        pairs: &[(RowId, RowId)],
+        jobs: &[WindowJob<'_>],
         seen: &FastHashSet<AttrSet>,
         threads: usize,
-    ) -> (Vec<AttrSet>, BatchStats) {
-        let workers = self.plan_workers(pairs.len(), threads);
+        out: &mut Vec<Vec<AttrSet>>,
+    ) -> BatchStats {
+        let total: usize = jobs.iter().map(WindowJob::pairs).sum();
+        let workers = self.plan_workers(total, threads);
+        out.clear();
         if workers <= 1 {
-            let novel = self.novel_chunk(pairs, seen);
-            let stats = BatchStats {
-                pairs_compared: pairs.len() as u64,
-                candidates: novel.len() as u64,
-                workers: 1,
-            };
-            return (novel, stats);
+            let mut local = FastHashSet::default();
+            out.extend(jobs.iter().map(|job| self.novel_range(job, 0..job.pairs(), seen, &mut local)));
+            let candidates = out.iter().map(|c| c.len() as u64).sum();
+            return BatchStats { pairs_compared: total as u64, candidates, workers: 1 };
         }
-        // Work-stealing fan-out: each chunk's novelty scan lands in a slot
-        // indexed by chunk position. Concatenating slots in chunk (= plan)
-        // order afterwards means the fold downstream never observes
-        // completion order, only pair order.
-        let n_chunks =
-            fd_core::parallel::steal_chunk_count(pairs.len(), workers, MIN_PAIRS_PER_CHUNK);
-        let chunk = pairs.len().div_ceil(n_chunks);
-        let slots: Vec<Mutex<Vec<AttrSet>>> =
-            (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
-        let pair_chunks: Vec<&[(RowId, RowId)]> = pairs.chunks(chunk).collect();
-        let steal = fd_core::parallel::fan_out_stealing(
-            "pair_compare",
-            pair_chunks.len(),
-            workers,
-            |i| {
-                let novel = self.novel_chunk(pair_chunks[i], seen);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = novel;
-            },
-        );
-        let mut stats = BatchStats {
-            pairs_compared: pairs.len() as u64,
-            candidates: 0,
-            workers: steal.workers,
-        };
-        let mut out: Vec<AttrSet> = Vec::new();
-        for slot in slots {
-            let novel = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-            stats.candidates += novel.len() as u64;
-            out.extend(novel);
+        // Cut the round into chunks of about `chunk` pairs. A piece is one
+        // job's position range inside one chunk; `chunk_ends[c]` is the
+        // piece index just past chunk `c`.
+        let n_chunks = fd_core::parallel::steal_chunk_count(total, workers, MIN_PAIRS_PER_CHUNK);
+        let chunk = total.div_ceil(n_chunks);
+        let mut pieces: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut chunk_ends: Vec<usize> = Vec::new();
+        let mut room = chunk;
+        for (j, job) in jobs.iter().enumerate() {
+            let mut start = 0;
+            let pairs = job.pairs();
+            while start < pairs {
+                let end = pairs.min(start + room);
+                pieces.push((j, start..end));
+                room -= end - start;
+                start = end;
+                if room == 0 {
+                    chunk_ends.push(pieces.len());
+                    room = chunk;
+                }
+            }
         }
-        (out, stats)
+        if chunk_ends.last() != Some(&pieces.len()) {
+            chunk_ends.push(pieces.len());
+        }
+        // Each piece owns a pre-assigned output slot, so results are
+        // assembled in job and position order no matter which worker
+        // claimed which chunk.
+        let slots: Vec<OnceLock<Vec<AttrSet>>> = pieces.iter().map(|_| OnceLock::new()).collect();
+        let steal =
+            fd_core::parallel::fan_out_stealing("pair_compare", chunk_ends.len(), workers, |c| {
+                let first = if c == 0 { 0 } else { chunk_ends[c - 1] };
+                let mut local = FastHashSet::default();
+                for p in first..chunk_ends[c] {
+                    let (j, range) = &pieces[p];
+                    let novel = self.novel_range(&jobs[*j], range.clone(), seen, &mut local);
+                    let _ = slots[p].set(novel);
+                }
+            });
+        out.resize_with(jobs.len(), Vec::new);
+        let mut candidates = 0u64;
+        for ((j, _), slot) in pieces.iter().zip(slots) {
+            let novel = slot.into_inner().unwrap_or_default();
+            candidates += novel.len() as u64;
+            out[*j].extend(novel);
+        }
+        BatchStats { pairs_compared: total as u64, candidates, workers: steal.workers }
     }
 
-    /// One worker's share of [`RowMajor::novel_agree_sets`].
-    fn novel_chunk(&self, pairs: &[(RowId, RowId)], seen: &FastHashSet<AttrSet>) -> Vec<AttrSet> {
-        let mut local: FastHashSet<AttrSet> = FastHashSet::default();
+    /// The novel agree sets of one job's window positions `range`, first
+    /// occurrences only. `local` is scratch, cleared on entry.
+    fn novel_range(
+        &self,
+        job: &WindowJob<'_>,
+        range: Range<usize>,
+        seen: &FastHashSet<AttrSet>,
+        local: &mut FastHashSet<AttrSet>,
+    ) -> Vec<AttrSet> {
+        local.clear();
+        let far = job.window - 1;
         let mut out = Vec::new();
-        for &(t, u) in pairs {
-            let agree = self.agree_set(t, u);
+        for i in range {
+            let agree = self.agree_set(job.rows[i], job.rows[i + far]);
             if !seen.contains(&agree) && local.insert(agree) {
                 out.push(agree);
             }
@@ -510,8 +560,9 @@ impl RowMajor {
 }
 
 /// Fewest pairs worth a claimable chunk of their own: below this, the
-/// atomic-cursor claim round-trip rivals the comparison work itself.
-const MIN_PAIRS_PER_CHUNK: usize = 1024;
+/// atomic-cursor claim round-trip and the chunk's dedup set rival the
+/// comparison work itself.
+const MIN_PAIRS_PER_CHUNK: usize = 2048;
 
 /// Linear-scan agree set of two packed rows — the scalar reference kernel.
 ///
@@ -586,13 +637,8 @@ pub enum NullLabeling {
 pub struct RelationBuilder {
     name: String,
     column_names: Vec<String>,
-    dictionaries: Vec<FastHashMap<String, u32>>,
+    dictionaries: ColumnDictionaries,
     columns: Vec<Vec<u32>>,
-    /// The shared-null label of each column, allocated on first use.
-    /// Distinct-null labels are allocated past the dictionary range and
-    /// tracked via `next_label`.
-    shared_null: Vec<Option<u32>>,
-    next_label: Vec<u32>,
 }
 
 impl RelationBuilder {
@@ -603,20 +649,9 @@ impl RelationBuilder {
         RelationBuilder {
             name: name.into(),
             column_names,
-            dictionaries: (0..n).map(|_| FastHashMap::default()).collect(),
+            dictionaries: ColumnDictionaries::with_columns(n),
             columns: (0..n).map(|_| Vec::new()).collect(),
-            shared_null: vec![None; n],
-            next_label: vec![0; n],
         }
-    }
-
-    fn encode(&mut self, a: usize, value: &str) -> u32 {
-        let next = self.next_label[a];
-        let label = *self.dictionaries[a].entry(value.to_owned()).or_insert(next);
-        if label == next {
-            self.next_label[a] += 1;
-        }
-        label
     }
 
     /// Appends one row of raw values.
@@ -626,8 +661,7 @@ impl RelationBuilder {
     pub fn push_row<S: AsRef<str>>(&mut self, row: &[S]) {
         assert_eq!(row.len(), self.column_names.len(), "row width mismatch");
         for (a, value) in row.iter().enumerate() {
-            let label = self.encode(a, value.as_ref());
-            self.columns[a].push(label);
+            self.push_cell(a, Some(value.as_ref()), NullLabeling::Shared);
         }
     }
 
@@ -638,28 +672,17 @@ impl RelationBuilder {
     /// Panics if the row width differs from the schema width.
     pub fn push_nullable_row(&mut self, row: &[Option<&str>], labeling: NullLabeling) {
         assert_eq!(row.len(), self.column_names.len(), "row width mismatch");
-        for (a, value) in row.iter().enumerate() {
-            let label = match value {
-                Some(v) => self.encode(a, v),
-                None => match labeling {
-                    NullLabeling::Shared => match self.shared_null[a] {
-                        Some(l) => l,
-                        None => {
-                            let l = self.next_label[a];
-                            self.next_label[a] += 1;
-                            self.shared_null[a] = Some(l);
-                            l
-                        }
-                    },
-                    NullLabeling::Distinct => {
-                        let l = self.next_label[a];
-                        self.next_label[a] += 1;
-                        l
-                    }
-                },
-            };
-            self.columns[a].push(label);
+        for (a, &value) in row.iter().enumerate() {
+            self.push_cell(a, value, labeling);
         }
+    }
+
+    /// Appends one cell to column `a` (`None` = missing, labeled per
+    /// `labeling`). A row is complete once every column got its cell; the
+    /// CSV reader streams cells this way so it never builds a row vector.
+    pub(crate) fn push_cell(&mut self, a: usize, value: Option<&str>, labeling: NullLabeling) {
+        let label = self.dictionaries.encode_cell(a, value, labeling);
+        self.columns[a].push(label);
     }
 
     /// Number of rows appended so far.
@@ -676,10 +699,9 @@ impl RelationBuilder {
     /// later delta rows can be encoded consistently with the base table
     /// (see [`ColumnDictionaries`]).
     pub fn finish_with_dictionaries(self) -> (Relation, ColumnDictionaries) {
-        let dicts = ColumnDictionaries::new(self.dictionaries, self.shared_null, self.next_label);
         let relation =
             Relation::from_encoded_columns(self.name, self.column_names, self.columns);
-        (relation, dicts)
+        (relation, self.dictionaries)
     }
 }
 

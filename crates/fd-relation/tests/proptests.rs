@@ -5,7 +5,7 @@ use fd_core::{AttrId, AttrSet, FastHashSet};
 use fd_relation::{
     agree_of_rows, packed_agree_of_rows, read_csv, read_csv_with_report, sampling_clusters,
     sampling_clusters_cached, sampling_clusters_parallel, synth, write_csv, CsvOptions,
-    MemoryPressure, Partition, PliCache, RaggedPolicy, Relation, RowAction, RowId,
+    MemoryPressure, Partition, PliCache, RaggedPolicy, Relation, RowAction, RowId, WindowJob,
 };
 use proptest::prelude::*;
 
@@ -544,42 +544,64 @@ fn large_batches_split_across_workers_without_changing_results() {
 
 #[test]
 fn novel_agree_sets_fold_matches_sequential_novelty_scan() {
-    let (relation, pairs) = big_batch();
+    let (relation, _) = big_batch();
     let rm = relation.row_major();
+    let n = relation.n_rows() as RowId;
+    // Window jobs of a compare round: the identity order at windows 2 and
+    // 7 (each larger than one chunk, so the parallel path splits them into
+    // position ranges), an interleaved order, and a tiny job.
+    let identity: Vec<RowId> = (0..n).collect();
+    let interleaved: Vec<RowId> = (0..n / 2).flat_map(|t| [t, n - 1 - t]).collect();
+    let tiny: Vec<RowId> = vec![3, 1, 4, 1 + n / 2];
+    let jobs = [
+        WindowJob { rows: &identity, window: 2 },
+        WindowJob { rows: &interleaved, window: 2 },
+        WindowJob { rows: &tiny, window: 3 },
+        WindowJob { rows: &identity, window: 7 },
+    ];
+    let job_pairs = |job: &WindowJob<'_>| -> Vec<(RowId, RowId)> {
+        (0..job.pairs()).map(|i| (job.rows[i], job.rows[i + job.window - 1])).collect()
+    };
     // Pre-seed the dedup set with the first 200 pairs' agree sets, as if an
     // earlier sample had already surfaced them.
     let mut seen: FastHashSet<AttrSet> = FastHashSet::default();
-    for &(t, u) in &pairs[..200] {
+    for &(t, u) in &job_pairs(&jobs[0])[..200] {
         seen.insert(relation.agree_set(t, u));
     }
-    // Oracle: the seed code path — scan pairs in order, keep first
-    // occurrences of unseen sets.
-    let mut oracle_seen = seen.clone();
-    let mut oracle: Vec<AttrSet> = Vec::new();
-    for &(t, u) in &pairs {
-        let agree = relation.agree_set(t, u);
-        if !seen.contains(&agree) && oracle_seen.insert(agree) {
-            oracle.push(agree);
-        }
-    }
+    let total: usize = jobs.iter().map(WindowJob::pairs).sum();
     for threads in [1usize, 2, 3, 4, 7, 8] {
-        let (candidates, stats) = rm.novel_agree_sets(&pairs, &seen, threads);
-        assert_eq!(stats.pairs_compared, pairs.len() as u64, "threads={threads}");
-        assert_eq!(stats.candidates, candidates.len() as u64, "threads={threads}");
+        let mut round = Vec::new();
+        let stats = rm.novel_agree_sets_round(&jobs, &seen, threads, &mut round);
+        assert_eq!(round.len(), jobs.len(), "threads={threads}");
+        assert_eq!(stats.pairs_compared, total as u64, "threads={threads}");
+        let candidates: usize = round.iter().map(Vec::len).sum();
+        assert_eq!(stats.candidates, candidates as u64, "threads={threads}");
         if threads >= 4 {
             assert!(stats.workers >= 2, "expected multiple workers at threads={threads}");
         }
-        // A set straddling worker chunks may appear once per chunk; the
-        // sequential fold collapses those, and the folded order must equal
-        // the global first-occurrence order.
-        let mut fold_seen = seen.clone();
-        let mut folded: Vec<AttrSet> = Vec::new();
-        for agree in candidates {
-            if fold_seen.insert(agree) {
-                folded.push(agree);
+        for (job, candidates) in jobs.iter().zip(round) {
+            // Oracle: the seed code path — scan the job's pairs in order,
+            // keep first occurrences of unseen sets.
+            let mut oracle_seen = seen.clone();
+            let mut oracle: Vec<AttrSet> = Vec::new();
+            for (t, u) in job_pairs(job) {
+                let agree = relation.agree_set(t, u);
+                if !seen.contains(&agree) && oracle_seen.insert(agree) {
+                    oracle.push(agree);
+                }
             }
+            // A set straddling position ranges may appear once per range;
+            // the sequential fold collapses those, and the folded order must
+            // equal the job's first-occurrence order.
+            let mut fold_seen = seen.clone();
+            let mut folded: Vec<AttrSet> = Vec::new();
+            for agree in candidates {
+                if fold_seen.insert(agree) {
+                    folded.push(agree);
+                }
+            }
+            assert_eq!(folded, oracle, "threads={threads}");
         }
-        assert_eq!(folded, oracle, "threads={threads}");
     }
 }
 

@@ -43,6 +43,9 @@ done
 
 cargo build --release
 cargo test -q
+# Tier-1 only runs the umbrella package; the member crates' unit and
+# integration tests (fd-core, fd-relation, eulerfd, fd-server, ...) run here.
+cargo test -q --workspace
 # Property-based equivalence suite (CSR vs nested-vec partitions, PLI-cache
 # transparency, algorithm invariance). Runs as part of `cargo test` too; the
 # explicit invocation keeps it visible and fails fast with its own name.
@@ -52,13 +55,17 @@ cargo test -q -p fd-relation --test proptests
 # boundaries, and work-stealing folds must match the sequential scan.
 cargo test -q -p fd-relation --test proptests packed_kernel_matches_scalar_reference
 cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequential_novelty_scan
+# CSV ingest must match a naive reference tokenizer: relation, report,
+# and errors with their row numbers.
+cargo test -q -p fd-relation --test csv_equivalence
 cargo test -q -p fd-core --lib parallel::
 cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
 
 # Multi-core scaling gate: packed-kernel speedup tripwire, byte-identical
 # discovery output across worker counts, and (only when the host has >= 2
-# cores; auto-skipped on 1-core containers) a 2-worker sampling-throughput
-# floor of 1.2x.
+# cores; auto-skipped on 1-core containers) two 2-worker floors, each the
+# median of 9 alternating 1-/2-worker pairs: batch sampling throughput
+# 1.2x, and the end-to-end discovery sample phase 1.15x.
 cargo run --release -p fd-bench --bin bench_smoke -- \
     --scaling-gate --rows 30000 --repeat 1
 

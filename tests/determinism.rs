@@ -81,6 +81,23 @@ fn thread_count_is_invisible_in_the_result() {
 }
 
 #[test]
+fn speculation_wastes_at_most_one_round() {
+    // Speculated results are consumed whenever their cluster is sampled
+    // again, so only what is still stored when the run stops is wasted.
+    let relation = synth::dataset_spec("abalone").unwrap().generate(20_000);
+    let config = EulerFdConfig::default().with_threads(2);
+    let (_, rep) = EulerFd::with_config(config.clone()).discover_with_report(&relation);
+    let s = &rep.sampler;
+    let round_target = (fd_core::parallel::ROUND_PAIRS_PER_WORKER * config.resolved_threads()) as u64;
+    assert!(s.speculated_pairs >= s.pairs_compared, "{s:?}");
+    assert!(
+        s.speculated_pairs - s.pairs_compared <= round_target,
+        "wasted {} speculated pairs, more than one round ({round_target}): {s:?}",
+        s.speculated_pairs - s.pairs_compared
+    );
+}
+
+#[test]
 fn telemetry_flag_is_invisible_in_the_result() {
     // Observability must be read-only: with the runtime flag off and on, on
     // 1 and 4 threads, discovery yields a byte-identical FD set and growth
