@@ -203,9 +203,15 @@ impl PCover {
     /// removes every candidate generalization of `non_fd` and re-adds
     /// minimal specializations that escape it.
     pub fn invert(&mut self, non_fd: Fd) -> InvertDelta {
-        let n = self.n_attrs();
-        let delta =
-            invert_into_tree(&mut self.per_rhs[non_fd.rhs as usize], n, non_fd.rhs, &non_fd.lhs);
+        let universe = AttrSet::full(self.n_attrs());
+        let tree = &mut self.per_rhs[non_fd.rhs as usize];
+        let delta = invert_into_tree(
+            tree,
+            &universe,
+            non_fd.rhs,
+            &non_fd.lhs,
+            &mut InvertScratch::default(),
+        );
         self.len = self.len + delta.added - delta.removed;
         delta
     }
@@ -246,6 +252,7 @@ impl PCover {
         token: Option<&CancelToken>,
     ) -> InvertDelta {
         let n = self.n_attrs();
+        let universe = AttrSet::full(n);
         // Stable sort: within one RHS, equal-length non-FDs keep arrival
         // order, exactly like the sequential sort-then-drain loop.
         non_fds.sort_by_key(|fd| std::cmp::Reverse(fd.lhs.len()));
@@ -263,6 +270,7 @@ impl PCover {
             work: Vec<AttrSet>,
             delta: InvertDelta,
             unprocessed: Vec<AttrSet>,
+            scratch: InvertScratch,
         }
         let mut jobs: Vec<InvertJob<'_>> = Vec::new();
         for ((rhs, tree), work) in self.per_rhs.iter_mut().enumerate().zip(per_rhs_work) {
@@ -273,14 +281,13 @@ impl PCover {
                     work,
                     delta: InvertDelta::default(),
                     unprocessed: Vec::new(),
+                    scratch: InvertScratch::default(),
                 });
             }
         }
         // Small batches invert inline: spawning threads costs more than the
         // tree surgery it would parallelize. The cutoff cannot change the
-        // result, only the wall clock. One inversion walks ~1Ki tree nodes —
-        // the per-item cost hint (in u32-compare-equivalent units) handed to
-        // the shared adaptive policy.
+        // result, only the wall clock.
         let workers = crate::parallel::decide_at("cover_invert", total, INVERSION_COST_UNITS, threads)
             .min(jobs.len().max(1));
         let run_job = |job: &mut InvertJob<'_>| {
@@ -289,7 +296,7 @@ impl PCover {
                     job.unprocessed.push(lhs);
                     continue;
                 }
-                job.delta += invert_into_tree(job.tree, n, job.rhs, &lhs);
+                job.delta += invert_into_tree(job.tree, &universe, job.rhs, &lhs, &mut job.scratch);
             }
         };
         if workers <= 1 {
@@ -331,15 +338,16 @@ impl PCover {
     /// Returns the number of *revived* candidates — LHSs present in the
     /// rebuilt tree that were not candidates before the call.
     pub fn rebuild_rhs(&mut self, rhs: AttrId, mut non_fds: Vec<AttrSet>) -> usize {
-        let n = self.n_attrs();
+        let universe = AttrSet::full(self.n_attrs());
         let tree = &mut self.per_rhs[rhs as usize];
         let old: crate::hash::FastHashSet<AttrSet> = tree.to_vec().into_iter().collect();
         self.len -= tree.len();
         *tree = LhsTree::new();
         tree.insert(AttrSet::empty());
         non_fds.sort_by_key(|lhs| std::cmp::Reverse(lhs.len()));
+        let mut scratch = InvertScratch::default();
         for lhs in &non_fds {
-            invert_into_tree(tree, n, rhs, lhs);
+            invert_into_tree(tree, &universe, rhs, lhs, &mut scratch);
         }
         self.len += tree.len();
         let mut revived = 0usize;
@@ -374,42 +382,72 @@ impl PCover {
     }
 }
 
-/// Approximate tree-node visits per inversion, the cost hint handed to
-/// [`crate::parallel::decide`] by [`PCover::invert_batch`]. With the policy's
-/// 64Ki-unit quantum this reproduces the former engagement point of 64
-/// inversions per worker.
-const INVERSION_COST_UNITS: u64 = 1024;
+/// The per-item cost hint [`PCover::invert_batch`] hands to
+/// [`crate::parallel::decide`], measured rather than counted. On a 2-core
+/// x86-64 host one inversion takes 1–2 µs on lineitem-20k, 6–8 µs on
+/// hepatitis, ~10 µs on fd-reduced-30 and 15–25 µs on plista; forcing two
+/// workers broke even at 200–500 µs of work per batch (256, 32, 64 and 8
+/// non-FDs respectively). 512 units puts the policy's 2-worker point
+/// (2 × [`crate::parallel::MIN_UNITS_PER_WORKER`]) at 256 non-FDs, where
+/// the cheapest shape breaks even and the others gain 1.3–1.7×.
+const INVERSION_COST_UNITS: u64 = 512;
+
+/// Buffers one inversion job reuses across its non-FDs.
+#[derive(Default)]
+struct InvertScratch {
+    /// Candidates the current non-FD invalidated.
+    generals: Vec<AttrSet>,
+    /// Stored sets with exactly one attribute outside the non-FD's LHS.
+    near: Vec<AttrSet>,
+}
 
 /// One non-FD's inversion against a single RHS tree (the body shared by
 /// [`PCover::invert`] and the per-RHS shards of [`PCover::invert_batch`]).
-fn invert_into_tree(tree: &mut LhsTree, n_attrs: usize, rhs: AttrId, non_fd_lhs: &AttrSet) -> InvertDelta {
-    let mut delta = InvertDelta::default();
-    loop {
-        let generals = tree.remove_subsets_of(non_fd_lhs);
-        if generals.is_empty() {
-            break;
-        }
-        delta.removed += generals.len();
-        for general in generals {
-            for attr in 0..n_attrs {
-                let attr = attr as AttrId;
-                // Skip attributes already in the candidate or equal to its
-                // RHS (keeps candidates non-trivial), and attributes of
-                // the non-FD's LHS — those specializations stay inside the
-                // invalidated region and would be removed again next loop.
-                if general.contains(attr) || attr == rhs || non_fd_lhs.contains(attr) {
-                    continue;
-                }
-                let candidate = general.with(attr);
-                if tree.contains_subset_of(&candidate) {
-                    continue; // a more general candidate already covers it
-                }
-                tree.insert(candidate);
-                delta.added += 1;
+///
+/// Algorithm 3 removes every candidate `g ⊆ X` (for the non-FD `X ↛ rhs`)
+/// and, for each `a ∉ g ∪ X ∪ {rhs}`, adds `g ∪ {a}` unless a stored
+/// candidate is a subset of it. That check needs no per-candidate walk:
+/// after the removal no stored set is a subset of `X`, so a stored `S ⊆ g ∪
+/// {a}` has `S \ X = {a}` exactly — it is a near subset of `X` — and
+/// `S \ g = {a}`. One near-subset walk per non-FD therefore finds every
+/// blocker of every candidate. Candidates added for one general cannot
+/// block another's (the removed generals form an antichain, so `g' ∪ {a} ⊆
+/// g ∪ {a}` forces `g' = g`), and no candidate is a subset of `X`, so one
+/// pass leaves nothing for a second removal. The decisions, and with them
+/// the cover and the [`InvertDelta`], are those of the per-candidate loop.
+fn invert_into_tree(
+    tree: &mut LhsTree,
+    universe: &AttrSet,
+    rhs: AttrId,
+    non_fd_lhs: &AttrSet,
+    scratch: &mut InvertScratch,
+) -> InvertDelta {
+    let InvertScratch { generals, near } = scratch;
+    generals.clear();
+    let removed = tree.remove_subsets_into(non_fd_lhs, generals);
+    if removed == 0 {
+        return InvertDelta::default();
+    }
+    near.clear();
+    tree.collect_near_subsets_of(non_fd_lhs, near);
+    // Attributes that keep a candidate non-trivial and outside the
+    // invalidated region.
+    let extensions = universe.difference(non_fd_lhs).without(rhs);
+    let mut added = 0;
+    for general in generals.iter() {
+        let mut allowed = extensions.difference(general);
+        for s in near.iter() {
+            let outside = s.difference(general);
+            if outside.len() == 1 {
+                allowed = allowed.difference(&outside);
             }
         }
+        for attr in allowed.iter() {
+            tree.insert(general.with(attr));
+            added += 1;
+        }
     }
-    delta
+    InvertDelta { removed, added }
 }
 
 /// Builds the positive cover implied by a set of non-FDs: initializes the

@@ -77,6 +77,12 @@ impl NaiveLhsStore {
         self.sets.iter().filter(|s| lhs.is_subset_of(s)).copied().collect()
     }
 
+    /// All stored sets with exactly one attribute outside `lhs`
+    /// (`|S \ lhs| = 1`), appended to `out` in insertion order.
+    pub fn collect_near_subsets_of(&self, lhs: &AttrSet, out: &mut Vec<AttrSet>) {
+        out.extend(self.sets.iter().filter(|s| s.difference(lhs).len() == 1));
+    }
+
     /// All stored sets, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &AttrSet> {
         self.sets.iter()
@@ -126,6 +132,12 @@ mod tests {
         store.insert(s(&[3]));
         let subs = store.collect_subsets_of(&s(&[1, 2, 4]));
         assert_eq!(subs.len(), 2);
+        // {1,2} and {3} each have one attribute outside {1,3}; {1} has none.
+        let mut near = Vec::new();
+        store.collect_near_subsets_of(&s(&[1, 3]), &mut near);
+        assert_eq!(near, vec![s(&[1, 2])]);
+        store.collect_near_subsets_of(&s(&[1]), &mut near);
+        assert_eq!(near, vec![s(&[1, 2]), s(&[1, 2]), s(&[3])]);
         assert!(store.remove(&s(&[1])));
         assert!(!store.remove(&s(&[1])));
         assert_eq!(store.len(), 2);

@@ -37,7 +37,7 @@
 //! | site                | items        | per-item cost hint                  |
 //! |---------------------|--------------|-------------------------------------|
 //! | `pair_compare`      | tuple pairs  | `width` (one compare per attribute) |
-//! | `cover_invert`      | non-FDs      | ~1Ki tree-node visits per inversion |
+//! | `cover_invert`      | non-FDs      | 512, from measured break-even       |
 //! | `sampling_clusters` | attributes   | `n_rows` (counting sort row moves)  |
 //! | `tane_products`     | candidates   | `n_rows` (one row move per product) |
 //! | `agree_sets`        | clusters     | mean `pairs_in(c) × width`          |
@@ -53,9 +53,9 @@ use std::time::Instant;
 /// Minimum work units per worker before spawning is worth it.
 ///
 /// A *unit* is roughly one `u32` comparison (one label probe, one row move).
-/// The constant preserves PR 1's measured engagement points: the pair kernel
-/// engaged at 4096 pairs × ~16 attrs ≈ 64Ki units per worker, and cover
-/// inversion at 64 jobs × ~1Ki tree-node visits.
+/// The constant preserves the pair kernel's measured engagement point of
+/// 4096 pairs × ~16 attrs ≈ 64Ki units per worker; cover inversion engages
+/// a second worker at 256 non-FDs (its cost hint is set from measurement).
 pub const MIN_UNITS_PER_WORKER: u64 = 65_536;
 
 /// Tuple pairs per worker that one speculative sampling round aims to

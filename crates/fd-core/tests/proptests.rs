@@ -2,8 +2,10 @@
 //! stores against the linear-scan [`NaiveLhsStore`] oracle and checking the
 //! algebraic laws the covers rely on.
 
+use fd_core::lhs_tree::LEAF_CAPACITY;
 use fd_core::{
-    invert_ncover, AttrId, AttrSet, Fd, FdSet, FdTree, LhsTree, NCover, NaiveLhsStore,
+    invert_ncover, AttrId, AttrSet, Fd, FdSet, FdTree, InvertDelta, LhsTree, NCover, NaiveLhsStore,
+    PCover,
 };
 use proptest::prelude::*;
 
@@ -26,6 +28,79 @@ fn op(max_attr: u16) -> impl Strategy<Value = Op> {
         1 => attr_set(max_attr).prop_map(Op::Remove),
         1 => attr_set(max_attr).prop_map(Op::RemoveSubsetsOf),
     ]
+}
+
+/// An attribute of an `n`-attribute universe, three times in four from its
+/// top 12 ids, so random sets over 70 attributes still collide and nest and
+/// straddle the 64-bit word boundary.
+fn wide_attr(n: u16) -> impl Strategy<Value = AttrId> {
+    prop_oneof![3 => n.saturating_sub(12)..n, 1 => 0..n]
+}
+
+fn wide_attr_set(n: u16, max_len: usize) -> impl Strategy<Value = AttrSet> {
+    prop::collection::vec(wide_attr(n), 0..max_len).prop_map(AttrSet::from_attrs)
+}
+
+/// Insert-heavy operations, so long sequences fill and split leaves.
+fn wide_op(n: u16) -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => wide_attr_set(n, 8).prop_map(Op::Insert),
+        1 => wide_attr_set(n, 8).prop_map(Op::Remove),
+        1 => wide_attr_set(n, 8).prop_map(Op::RemoveSubsetsOf),
+    ]
+}
+
+fn apply_op(tree: &mut LhsTree, naive: &mut NaiveLhsStore, o: &Op) -> Result<(), TestCaseError> {
+    match o {
+        Op::Insert(s) => prop_assert_eq!(tree.insert(*s), naive.insert(*s)),
+        Op::Remove(s) => prop_assert_eq!(tree.remove(s), naive.remove(s)),
+        Op::RemoveSubsetsOf(s) => {
+            let mut a = tree.remove_subsets_of(s);
+            let mut b = naive.collect_subsets_of(s);
+            for x in &b {
+                naive.remove(x);
+            }
+            a.sort();
+            b.sort();
+            prop_assert_eq!(a, b);
+        }
+    }
+    prop_assert_eq!(tree.len(), naive.len());
+    Ok(())
+}
+
+/// Every query of the tree, including near subsets, against the naive store.
+fn check_queries(
+    tree: &LhsTree,
+    naive: &NaiveLhsStore,
+    queries: &[AttrSet],
+) -> Result<(), TestCaseError> {
+    for q in queries {
+        prop_assert_eq!(tree.contains_subset_of(q), naive.contains_subset_of(q));
+        prop_assert_eq!(tree.contains_superset_of(q), naive.contains_superset_of(q));
+        let mut a = tree.collect_subsets_of(q);
+        let mut b = naive.collect_subsets_of(q);
+        a.sort();
+        b.sort();
+        prop_assert_eq!(a, b);
+        let mut a = tree.collect_supersets_of(q);
+        let mut b = naive.collect_supersets_of(q);
+        a.sort();
+        b.sort();
+        prop_assert_eq!(a, b);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        tree.collect_near_subsets_of(q, &mut a);
+        naive.collect_near_subsets_of(q, &mut b);
+        a.sort();
+        b.sort();
+        prop_assert_eq!(a, b);
+    }
+    let mut a = tree.to_vec();
+    let mut b: Vec<AttrSet> = naive.iter().copied().collect();
+    a.sort();
+    b.sort();
+    prop_assert_eq!(a, b);
+    Ok(())
 }
 
 proptest! {
@@ -78,6 +153,49 @@ proptest! {
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
+    }
+
+    /// The same oracle comparison at the scale where leaves split: up to 600
+    /// operations, over universes of 10 and 70 attributes (sets cross the
+    /// 64-bit word), then a drain that removes every set one at a time, so
+    /// every split tree also collapses back to nothing. Near-subset queries
+    /// are checked too.
+    #[test]
+    fn lhs_tree_matches_naive_oracle_at_split_scale(
+        case in prop_oneof![Just(10u16), Just(70u16)].prop_flat_map(|n| {
+            (
+                Just(n),
+                prop::collection::vec(wide_op(n), 1..600),
+                prop::collection::vec(wide_attr_set(n, 12), 1..20),
+            )
+        }),
+    ) {
+        let (n, ops, queries) = case;
+        let mut tree = LhsTree::new();
+        let mut naive = NaiveLhsStore::new();
+        let mut max_len = 0;
+        for o in &ops {
+            apply_op(&mut tree, &mut naive, o)?;
+            max_len = max_len.max(naive.len());
+        }
+        if ops.len() >= 200 {
+            prop_assert!(max_len > LEAF_CAPACITY, "n={} ops={} never filled a leaf", n, ops.len());
+        }
+        check_queries(&tree, &naive, &queries)?;
+        let mut stored: Vec<AttrSet> = naive.iter().copied().collect();
+        let half = stored.len() / 2;
+        for (i, s) in stored.drain(..).rev().enumerate() {
+            prop_assert!(tree.remove(&s));
+            prop_assert!(naive.remove(&s));
+            prop_assert_eq!(tree.len(), naive.len());
+            if i == half {
+                check_queries(&tree, &naive, &queries)?;
+            }
+        }
+        prop_assert!(tree.is_empty());
+        prop_assert!(tree.to_vec().is_empty());
+        prop_assert!(tree.insert(queries[0]));
+        prop_assert!(tree.contains_subset_of(&queries[0]));
     }
 
     /// The FD-tree's generalization queries agree with a brute-force scan.
@@ -326,6 +444,114 @@ proptest! {
             let delta = pc.invert_batch(&mut batch, threads);
             prop_assert_eq!(delta, expect_delta, "threads={}", threads);
             prop_assert!(batch.is_empty(), "invert_batch drains its input");
+        }
+    }
+}
+
+/// Algorithm 3 as the paper writes it, over the linear-scan store: strip
+/// every generalization of the non-FD, then try each one-attribute
+/// specialization of each and keep it unless a stored set generalizes it,
+/// repeating until nothing is stripped.
+fn oracle_invert(store: &mut NaiveLhsStore, n: u16, non_fd: &Fd) -> InvertDelta {
+    let mut delta = InvertDelta::default();
+    loop {
+        let generals = store.collect_subsets_of(&non_fd.lhs);
+        if generals.is_empty() {
+            return delta;
+        }
+        for g in &generals {
+            store.remove(g);
+        }
+        delta.removed += generals.len();
+        for g in &generals {
+            for a in 0..n {
+                if g.contains(a) || a == non_fd.rhs || non_fd.lhs.contains(a) {
+                    continue;
+                }
+                let candidate = g.with(a);
+                if !store.contains_subset_of(&candidate) {
+                    store.insert(candidate);
+                    delta.added += 1;
+                }
+            }
+        }
+    }
+}
+
+/// A non-FD over `n` attributes whose LHS is everything but a few columns
+/// drawn from a pool of at most 12 (spread across the 64-bit word), like an
+/// agree set on wide data. Candidates then stay subsets of the pool, so
+/// covers stay small enough for the oracle however many of these are
+/// inverted, while the two favoured RHSs still grow covers past a leaf.
+fn pooled_non_fd(n: u16) -> impl Strategy<Value = Fd> {
+    let mut pool: Vec<AttrId> = vec![0, 1, 2, 3, n / 3, n / 2, 2 * n / 3];
+    pool.extend(n.saturating_sub(5)..n);
+    pool.sort_unstable();
+    pool.dedup();
+    let len = pool.len();
+    let rhs = prop_oneof![3 => 0..2usize, 1 => 0..len];
+    (prop::collection::vec(0..len, 3..10), rhs).prop_map(move |(outside, rhs)| {
+        let rhs = pool[rhs];
+        let lhs = AttrSet::full(n as usize)
+            .difference(&AttrSet::from_attrs(outside.iter().map(|&i| pool[i])));
+        Fd::new(lhs.without(rhs), rhs)
+    })
+}
+
+/// A non-FD with a random LHS of density ~3/4 over all `n` attributes.
+fn dense_non_fd(n: u16) -> impl Strategy<Value = Fd> {
+    (prop::collection::vec(0..4u8, n as usize), 0..n).prop_map(move |(keep, rhs)| {
+        let lhs = AttrSet::from_attrs((0..n).filter(|&a| keep[a as usize] != 0));
+        Fd::new(lhs.without(rhs), rhs)
+    })
+}
+
+/// One to three batches of non-FDs over a universe of 5 to 70 attributes.
+fn non_fd_batches() -> impl Strategy<Value = (u16, Vec<Vec<Fd>>)> {
+    (5u16..=70).prop_flat_map(|n| {
+        let non_fd = prop_oneof![40 => pooled_non_fd(n), 1 => dense_non_fd(n)];
+        (Just(n), prop::collection::vec(prop::collection::vec(non_fd, 1..300), 1..4))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Batch inversion makes Algorithm 3's decisions exactly: after every
+    /// batch of a multi-batch stream, at 1, 2 and 3 threads, each RHS's
+    /// cover equals the literal per-candidate loop's and so does the batch's
+    /// `InvertDelta`.
+    #[test]
+    fn invert_batch_matches_literal_algorithm_3(case in non_fd_batches()) {
+        let (n, batches) = case;
+        for threads in [1usize, 2, 3] {
+            let mut pcover = PCover::initialized(n as usize);
+            let mut oracle: Vec<NaiveLhsStore> = (0..n)
+                .map(|_| {
+                    let mut store = NaiveLhsStore::new();
+                    store.insert(AttrSet::empty());
+                    store
+                })
+                .collect();
+            for (i, batch) in batches.iter().enumerate() {
+                let mut sorted = batch.clone();
+                sorted.sort_by_key(|fd| std::cmp::Reverse(fd.lhs.len()));
+                let mut expect = InvertDelta::default();
+                for fd in &sorted {
+                    expect += oracle_invert(&mut oracle[fd.rhs as usize], n, fd);
+                }
+                let mut work = batch.clone();
+                let delta = pcover.invert_batch(&mut work, threads);
+                prop_assert_eq!(delta, expect, "n={} threads={} batch {}", n, threads, i);
+                let fds = pcover.to_fdset();
+                for rhs in 0..n {
+                    let mut got: Vec<AttrSet> = fds.with_rhs(rhs).map(|fd| fd.lhs).collect();
+                    let mut want: Vec<AttrSet> = oracle[rhs as usize].iter().copied().collect();
+                    got.sort();
+                    want.sort();
+                    prop_assert_eq!(got, want, "n={} threads={} batch {} rhs {}", n, threads, i, rhs);
+                }
+            }
         }
     }
 }

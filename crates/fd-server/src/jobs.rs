@@ -218,9 +218,19 @@ pub(crate) struct SessionState {
     pub(crate) outstanding: usize,
 }
 
+/// Most finished jobs whose results the server keeps for `wait`. Every
+/// record holds a full [`JobResult`] (a discover's whole FD set), so an
+/// unbounded table grows a long-running server's memory without limit. Past
+/// this many, the oldest finished record is dropped, and `wait` on its id
+/// answers "unknown job". Pending and running jobs are never dropped.
+pub const FINISHED_JOBS_KEPT: usize = 1024;
+
 pub(crate) struct QueueState {
     pub(crate) sessions: BTreeMap<SessionId, SessionState>,
     pub(crate) jobs: BTreeMap<JobId, JobRecord>,
+    /// Finished jobs in completion order, oldest first; at most
+    /// [`FINISHED_JOBS_KEPT`].
+    finished: VecDeque<JobId>,
     pub(crate) next_job: JobId,
     pub(crate) next_session: SessionId,
     /// Session id the last dispatch went to (round-robin rotation point).
@@ -234,6 +244,7 @@ impl Default for QueueState {
         QueueState {
             sessions: BTreeMap::new(),
             jobs: BTreeMap::new(),
+            finished: VecDeque::new(),
             next_job: 0,
             next_session: 0,
             last_dispatched: SessionId::MAX,
@@ -275,6 +286,24 @@ impl QueueState {
             }
         }
         None
+    }
+
+    /// Records `job`'s result, releases its session's outstanding slot, and
+    /// drops the oldest finished records beyond [`FINISHED_JOBS_KEPT`].
+    pub(crate) fn finish(&mut self, job: JobId, result: Arc<JobResult>) {
+        let Some(record) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        record.state = JobState::Done(result);
+        if let Some(s) = self.sessions.get_mut(&record.session) {
+            s.outstanding = s.outstanding.saturating_sub(1);
+        }
+        self.finished.push_back(job);
+        while self.finished.len() > FINISHED_JOBS_KEPT {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
     }
 
     /// Sessions with outstanding work — the tenant count active budget
@@ -368,5 +397,29 @@ mod tests {
         q.sessions.get_mut(&1).expect("s1").pending.clear();
         let order = drain_order(&mut q);
         assert_eq!(order, vec![0, 0]);
+    }
+
+    #[test]
+    fn finished_records_are_bounded_and_unfinished_ones_kept() {
+        // Session 0 holds one pending and one running job throughout.
+        let mut q = seed_queue(&[1], FINISHED_JOBS_KEPT + 12);
+        q.jobs.get_mut(&1).expect("job 1").state = JobState::Running;
+        let done = |job| {
+            let outcome = JobOutcome::Failed { error: "test".into() };
+            Arc::new(JobResult { job, outcome, telemetry: None, wall: std::time::Duration::ZERO })
+        };
+        for job in 2..FINISHED_JOBS_KEPT as JobId + 12 {
+            q.finish(job, done(job));
+        }
+        assert_eq!(q.finished.len(), FINISHED_JOBS_KEPT);
+        // The ten oldest finished records went first.
+        assert!((2..12).all(|job| !q.jobs.contains_key(&job)));
+        assert!((12..FINISHED_JOBS_KEPT as JobId + 12).all(|job| q.jobs.contains_key(&job)));
+        assert!(matches!(q.jobs[&0].state, JobState::Pending));
+        assert!(matches!(q.jobs[&1].state, JobState::Running));
+        assert_eq!(q.sessions[&0].outstanding, 2);
+        // Finishing an already dropped record changes nothing.
+        q.finish(2, done(2));
+        assert_eq!(q.jobs.len(), FINISHED_JOBS_KEPT + 2);
     }
 }

@@ -38,6 +38,8 @@ pub mod protocol;
 mod server;
 
 pub use catalog::{Catalog, CatalogError, DatasetInfo};
-pub use jobs::{DiscoverOptions, JobId, JobOutcome, JobResult, Request, RowsSpec};
+pub use jobs::{
+    DiscoverOptions, JobId, JobOutcome, JobResult, Request, RowsSpec, FINISHED_JOBS_KEPT,
+};
 pub use metrics::{MetricsConfig, MetricsPlane, TraceEntry};
 pub use server::{Server, ServerConfig, ServerStats, Session};

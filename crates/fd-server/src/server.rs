@@ -172,8 +172,12 @@ impl Session {
         job
     }
 
-    /// Blocks until `job` finishes and returns its result. Unknown ids (or
-    /// jobs lost to a shutdown) return a `Failed` outcome.
+    /// Blocks until `job` finishes and returns its result. Unknown ids,
+    /// jobs lost to a shutdown, and finished jobs whose records were
+    /// dropped (the server keeps the last [`FINISHED_JOBS_KEPT`]) return a
+    /// `Failed` outcome.
+    ///
+    /// [`FINISHED_JOBS_KEPT`]: crate::FINISHED_JOBS_KEPT
     pub fn wait(&self, job: JobId) -> Arc<JobResult> {
         let queue = &self.shared.queue;
         let mut state = queue.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -458,13 +462,7 @@ fn worker_loop(shared: &Shared) {
             shared.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
             fd_telemetry::counter!("server.jobs_completed", 1);
         }
-        if let Some(record) = state.jobs.get_mut(&job) {
-            let session = record.session;
-            record.state = JobState::Done(result);
-            if let Some(s) = state.sessions.get_mut(&session) {
-                s.outstanding = s.outstanding.saturating_sub(1);
-            }
-        }
+        state.finish(job, result);
         shared.queue.done.notify_all();
     }
 }

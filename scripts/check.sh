@@ -58,6 +58,11 @@ cargo test -q -p fd-relation --test proptests novel_agree_sets_fold_matches_sequ
 # CSV ingest must match a naive reference tokenizer: relation, report,
 # and errors with their row numbers.
 cargo test -q -p fd-relation --test csv_equivalence
+# The bucketed LHS tree must match the linear-scan store at the scale where
+# leaves split and merge, and batch inversion must make the decisions of
+# the literal per-candidate Algorithm 3 loop at 1, 2 and 3 threads.
+cargo test -q -p fd-core --test proptests lhs_tree_matches_naive_oracle_at_split_scale
+cargo test -q -p fd-core --test proptests invert_batch_matches_literal_algorithm_3
 cargo test -q -p fd-core --lib parallel::
 cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
 

@@ -13,7 +13,7 @@ use eulerfd_suite::relation::synth::dataset_spec;
 use eulerfd_suite::relation::Relation;
 use eulerfd_suite::server::protocol::render_fds;
 use eulerfd_suite::server::{
-    DiscoverOptions, JobOutcome, Request, RowsSpec, Server, ServerConfig,
+    DiscoverOptions, JobOutcome, Request, RowsSpec, Server, ServerConfig, FINISHED_JOBS_KEPT,
 };
 
 fn gen(name: &str, rows: usize) -> Relation {
@@ -247,4 +247,28 @@ fn unknown_dataset_fails_cleanly_and_server_survives() {
         other => panic!("post-failure discover -> {other:?}"),
     }
     assert_eq!(server.stats().jobs_completed, 2);
+}
+
+#[test]
+fn finished_job_records_are_bounded() {
+    let server = Server::start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    server.register_relation("tiny", gen("iris", 150)).expect("register");
+    let session = server.session();
+    let first = session.submit(discover("tiny"));
+    assert!(matches!(session.wait(first).outcome, JobOutcome::Discovered { .. }));
+    // Cache hits: cheap jobs that each leave a full FD set in their record.
+    let later: Vec<_> = (0..FINISHED_JOBS_KEPT).map(|_| session.submit(discover("tiny"))).collect();
+    for &job in &later {
+        assert!(matches!(session.wait(job).outcome, JobOutcome::Discovered { .. }), "job {job}");
+    }
+    // The oldest finished record made room for the newest; the other
+    // FINISHED_JOBS_KEPT are all still answerable.
+    match &session.wait(first).outcome {
+        JobOutcome::Failed { error } => assert_eq!(error, &format!("unknown job {first}")),
+        other => panic!("evicted job -> {other:?}"),
+    }
+    for &job in &later {
+        assert!(matches!(session.wait(job).outcome, JobOutcome::Discovered { .. }), "job {job}");
+    }
+    assert_eq!(server.stats().jobs_completed, FINISHED_JOBS_KEPT as u64 + 1);
 }
