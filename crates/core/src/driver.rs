@@ -124,30 +124,6 @@ impl EulerFd {
         relation: &Relation,
         budget: &Budget,
     ) -> (FdSet, EulerFdReport) {
-        self.discover_budgeted_impl(relation, budget, None)
-    }
-
-    /// [`EulerFd::discover_budgeted`] with the sampler's single-attribute
-    /// partitions built through a shared [`fd_relation::PliCache`] — the
-    /// serving entry point, where a catalog keeps pinned singles resident
-    /// across requests and repeat discoveries skip the partition build.
-    /// Results are byte-identical to the uncached path for any relation and
-    /// budget; only the construction cost changes.
-    pub fn discover_budgeted_cached(
-        &self,
-        relation: &Relation,
-        budget: &Budget,
-        cache: &mut fd_relation::PliCache,
-    ) -> (FdSet, EulerFdReport) {
-        self.discover_budgeted_impl(relation, budget, Some(cache))
-    }
-
-    fn discover_budgeted_impl(
-        &self,
-        relation: &Relation,
-        budget: &Budget,
-        cache: Option<&mut fd_relation::PliCache>,
-    ) -> (FdSet, EulerFdReport) {
         let m = relation.n_attrs();
         let mut report = EulerFdReport::default();
         let mut ncover = NCover::new(m);
@@ -176,13 +152,9 @@ impl EulerFd {
         let mut termination;
         {
             let _sample = fd_telemetry::phase_span!("euler.phase.sample", report.phase_sample_s);
-            sampler = match cache {
-                Some(cache) => Sampler::new_cached(relation, &self.config, cache),
-                None => Sampler::new(relation, &self.config),
-            };
-            termination = sampler
-                .initial_pass_budgeted(relation, &mut ncover, &mut pending, budget)
-                .unwrap_or_default();
+            sampler = Sampler::new(relation, &self.config);
+            termination =
+                sampler.initial_pass_budgeted(&mut ncover, &mut pending, budget).unwrap_or_default();
         }
 
         // Algorithm 1 runs the MLFQ to exhaustion per sampling phase; the
@@ -471,25 +443,6 @@ mod tests {
         assert_eq!(rep_plain.inversions, rep_budget.inversions);
         assert_eq!(rep_budget.termination, Termination::Converged);
         assert!(!rep_budget.is_partial());
-    }
-
-    #[test]
-    fn cached_entry_point_is_bit_identical_and_reuses_singles() {
-        let r = fd_relation::synth::dataset_spec("abalone").unwrap().generate(600);
-        let euler = EulerFd::new();
-        let (plain, rep_plain) = euler.discover_budgeted(&r, &Budget::unlimited());
-        let mut cache = fd_relation::PliCache::with_default_budget();
-        let (cached, rep_cached) =
-            euler.discover_budgeted_cached(&r, &Budget::unlimited(), &mut cache);
-        assert_eq!(plain, cached);
-        assert_eq!(rep_plain.sampler.pairs_compared, rep_cached.sampler.pairs_compared);
-        assert_eq!(rep_plain.gr_ncover, rep_cached.gr_ncover);
-        // A second cached run hits every pinned single instead of rebuilding.
-        let misses_after_first = cache.stats().misses;
-        let (again, _) = euler.discover_budgeted_cached(&r, &Budget::unlimited(), &mut cache);
-        assert_eq!(again, plain);
-        assert_eq!(cache.stats().misses, misses_after_first);
-        assert!(cache.stats().hits >= r.n_attrs());
     }
 
     #[test]

@@ -32,7 +32,8 @@
 use fd_core::{
     invert_ncover_parallel, AttrId, AttrSet, FastHashMap, FastHashSet, Fd, FdSet, NCover, PCover,
 };
-use fd_relation::{PliCache, Relation, RowDelta, RowId, RowMajor};
+use fd_relation::{Relation, RowId, RowMajor};
+use std::sync::Arc;
 
 /// Exact FD discovery state that can be patched in place after row updates.
 ///
@@ -41,7 +42,9 @@ use fd_relation::{PliCache, Relation, RowDelta, RowId, RowMajor};
 /// changed rows touch rather than to the whole relation.
 #[derive(Clone, Debug)]
 pub struct DeltaEngine {
-    relation: Relation,
+    /// Shared with every snapshot handed out by [`DeltaEngine::snapshot`];
+    /// a delta clones it only while such a snapshot is still alive.
+    relation: Arc<Relation>,
     threads: usize,
     /// `support[S]` = |S| × number of unordered pairs with agree set `S`.
     support: FastHashMap<AttrSet, u64>,
@@ -114,12 +117,26 @@ impl DeltaEngine {
     pub fn new(relation: Relation, threads: usize) -> DeltaEngine {
         let threads = threads.max(1);
         let (support, ncover, pcover, constant) = cold_state(&relation, threads);
-        DeltaEngine { relation, threads, support, ncover, pcover, constant, stats: DeltaStats::default() }
+        DeltaEngine {
+            relation: Arc::new(relation),
+            threads,
+            support,
+            ncover,
+            pcover,
+            constant,
+            stats: DeltaStats::default(),
+        }
     }
 
     /// The relation the current cover describes (post any applied deltas).
     pub fn relation(&self) -> &Relation {
         &self.relation
+    }
+
+    /// A shared handle on the current relation. Later deltas never mutate
+    /// it: they copy the relation first if the handle is still alive.
+    pub fn snapshot(&self) -> Arc<Relation> {
+        Arc::clone(&self.relation)
     }
 
     /// The current exact minimal cover.
@@ -146,25 +163,6 @@ impl DeltaEngine {
     /// pre-delta row id) and incrementally repairs the covers. See the
     /// module docs for the insert/delete asymmetry.
     pub fn apply_delta(&mut self, inserts: &[Vec<u32>], deletes: &[RowId]) -> DeltaReport {
-        self.apply_delta_inner(inserts, deletes).0
-    }
-
-    /// [`DeltaEngine::apply_delta`] plus surgical [`PliCache`] maintenance:
-    /// after the covers are repaired, cached partitions are patched in place
-    /// (deletes, fresh-label inserts) or evicted (entries an inserted
-    /// non-fresh label can reach) so the cache stays transparent.
-    pub fn apply_delta_with_cache(
-        &mut self,
-        inserts: &[Vec<u32>],
-        deletes: &[RowId],
-        cache: &mut PliCache,
-    ) -> DeltaReport {
-        let (report, delta) = self.apply_delta_inner(inserts, deletes);
-        cache.apply_delta(&self.relation, &delta);
-        report
-    }
-
-    fn apply_delta_inner(&mut self, inserts: &[Vec<u32>], deletes: &[RowId]) -> (DeltaReport, RowDelta) {
         let mut dels: Vec<RowId> = deletes.to_vec();
         dels.sort_unstable();
         dels.dedup();
@@ -181,7 +179,7 @@ impl DeltaEngine {
         // path — the structural update still happens, then everything is
         // rebuilt from the new relation. Slower, never wrong.
         if fd_faults::inject!("delta.apply") == Some(fd_faults::Injected::AllocFail) {
-            let delta = self.relation.apply_delta(inserts, &dels);
+            Arc::make_mut(&mut self.relation).apply_delta(inserts, &dels);
             let (support, ncover, pcover, constant) = cold_state(&self.relation, self.threads);
             self.support = support;
             self.ncover = ncover;
@@ -190,7 +188,7 @@ impl DeltaEngine {
             report.cold_fallback = true;
             fd_telemetry::counter!("delta.candidates_revived", 0);
             self.stats.absorb(&report);
-            return (report, delta);
+            return report;
         }
 
         let m = self.relation.n_attrs();
@@ -227,7 +225,7 @@ impl DeltaEngine {
         }
 
         // ── 2. Structural update: compact survivors, append inserts.
-        let delta = self.relation.apply_delta(inserts, &dels);
+        let delta = Arc::make_mut(&mut self.relation).apply_delta(inserts, &dels);
 
         // ── 3. Insert pass, on the *new* relation: only pairs with an
         // inserted member are new. Dedup: count (new, old) from the new
@@ -315,7 +313,7 @@ impl DeltaEngine {
         fd_telemetry::counter!("delta.candidates_revived", report.candidates_revived as u64);
         self.constant = new_constant;
         self.stats.absorb(&report);
-        (report, delta)
+        report
     }
 }
 
@@ -550,24 +548,14 @@ mod tests {
     }
 
     #[test]
-    fn delta_with_cache_keeps_cached_partitions_transparent() {
+    fn snapshots_keep_their_version_across_deltas() {
         let mut engine = DeltaEngine::new(patient(), 1);
-        let mut cache = PliCache::new(1 << 16);
-        // Warm the cache with singles and a derived entry.
-        for a in 0..engine.relation().n_attrs() as AttrId {
-            cache.single(engine.relation(), a);
-        }
-        let derived = AttrSet::from_attrs([1u16, 2]);
-        cache.get(engine.relation(), &derived);
-        engine.apply_delta_with_cache(&[vec![0, 1, 2, 1, 4]], &[6], &mut cache);
-        // Every cache read after the delta must equal a fresh computation.
-        let fresh = fd_relation::Partition::of_column(engine.relation(), 0).stripped();
-        assert_eq!(*cache.single(engine.relation(), 0), fresh);
-        let got = cache.get(engine.relation(), &derived);
-        let want = fd_relation::Partition::of_column(engine.relation(), 1)
-            .stripped()
-            .product(&fd_relation::Partition::of_column(engine.relation(), 2).stripped());
-        assert_eq!(*got, want);
+        let before = engine.snapshot();
+        engine.apply_delta(&[vec![0, 1, 2, 1, 4]], &[6]);
+        // The live snapshot forced a copy: it still shows the old rows.
+        assert_eq!(*before, patient());
+        assert_eq!(engine.relation().n_rows(), patient().n_rows());
+        assert_ne!(*engine.relation(), patient());
         assert_engine_exact(&engine);
     }
 

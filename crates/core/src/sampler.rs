@@ -123,31 +123,7 @@ impl Sampler {
     /// partitions; the MLFQ starts empty until [`Sampler::initial_pass`].
     pub fn new(relation: &Relation, config: &EulerFdConfig) -> Self {
         let threads = config.resolved_threads();
-        let clusters = sampling_clusters_parallel(relation, threads);
-        Self::from_cluster_rows(clusters, relation, config)
-    }
-
-    /// [`Sampler::new`] with the single-attribute partitions built — or
-    /// reused — through a [`fd_relation::PliCache`]. This is the long-lived
-    /// serving path: a catalog keeps the pinned singles resident across
-    /// requests, so repeat discoveries skip the partition build entirely.
-    /// The cluster population (and with it every downstream result) is
-    /// byte-identical to the uncached constructor.
-    pub fn new_cached(
-        relation: &Relation,
-        config: &EulerFdConfig,
-        cache: &mut fd_relation::PliCache,
-    ) -> Self {
-        let clusters = fd_relation::sampling_clusters_cached(relation, cache);
-        Self::from_cluster_rows(clusters, relation, config)
-    }
-
-    fn from_cluster_rows(
-        clusters: Vec<Vec<RowId>>,
-        relation: &Relation,
-        config: &EulerFdConfig,
-    ) -> Self {
-        let clusters: Vec<ClusterState> = clusters
+        let clusters: Vec<ClusterState> = sampling_clusters_parallel(relation, threads)
             .into_iter()
             .map(|rows| ClusterState {
                 rows,
@@ -163,7 +139,7 @@ impl Sampler {
             retired: Vec::new(),
             seen_agree: FastHashSet::default(),
             row_major: relation.row_major(),
-            threads: config.resolved_threads(),
+            threads,
             in_initial_pass: false,
             round_ids: Vec::new(),
             round_results: Vec::new(),
@@ -174,8 +150,8 @@ impl Sampler {
 
     /// Algorithm 1 lines 2–4: sample every cluster once with the initial
     /// window of 2 and enqueue it by the observed capa.
-    pub fn initial_pass(&mut self, relation: &Relation, ncover: &mut NCover, pending: &mut Vec<Fd>) {
-        self.initial_pass_budgeted(relation, ncover, pending, &Budget::unlimited());
+    pub fn initial_pass(&mut self, _relation: &Relation, ncover: &mut NCover, pending: &mut Vec<Fd>) {
+        self.initial_pass_budgeted(ncover, pending, &Budget::unlimited());
     }
 
     /// [`Sampler::initial_pass`] under a budget: polls between clusters and
@@ -183,7 +159,6 @@ impl Sampler {
     /// stay out of the MLFQ — exactly as if the queue had drained.
     pub fn initial_pass_budgeted(
         &mut self,
-        _relation: &Relation,
         ncover: &mut NCover,
         pending: &mut Vec<Fd>,
         budget: &Budget,
@@ -434,7 +409,7 @@ mod tests {
         // The paper's Figure 3 cluster c1 = Gender's Female cluster
         // {t1,t3,t4,t5,t6,t7}: window 2 yields 5 pairs, window 3 yields 4,
         // window 4 yields 3.
-        let (r, mut sampler, mut ncover, mut pending) = setup();
+        let (_, mut sampler, mut ncover, mut pending) = setup();
         let c1 = sampler
             .clusters
             .iter()

@@ -4,13 +4,9 @@
 //! over a mutating table instead applies small insert/delete batches and
 //! wants the FD set repaired, not recomputed. [`Relation::apply_delta`]
 //! (in [`crate::relation`]) mutates the encoded columns in place and
-//! returns a [`RowDelta`] — a precise record of which row ids appeared,
-//! which disappeared, and which inserted labels were already present in
-//! each column. Downstream consumers read the delta instead of re-deriving
-//! it: the incremental engine (`core::incremental`) uses the id lists to
-//! scope its pair enumeration, and the PLI cache uses the per-row
-//! "non-fresh attribute" masks to decide which derived partitions can
-//! survive the batch.
+//! returns a [`RowDelta`] — a record of which row ids appeared and which
+//! disappeared. The incremental engine (`core::incremental`) reads the id
+//! lists to scope its pair enumeration instead of re-deriving them.
 //!
 //! [`ColumnDictionaries`] carries the string→label maps of a
 //! [`crate::RelationBuilder`] past `finish()`, so raw delta rows (e.g. from
@@ -22,15 +18,13 @@
 
 use crate::dictionary::Dictionary;
 use crate::relation::{NullLabeling, RowId};
-use fd_core::AttrSet;
 
 /// The outcome of one [`Relation::apply_delta`] batch: which rows appeared
-/// and disappeared, and how the inserted labels relate to the surviving
-/// column contents.
+/// and disappeared.
 ///
 /// Deletes are applied before inserts; surviving rows are compacted to the
 /// front (keeping their relative order), inserted rows are appended after
-/// them. [`RowDelta::row_remap`] reconstructs the old-id → new-id mapping.
+/// them.
 ///
 /// [`Relation::apply_delta`]: crate::Relation::apply_delta
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,55 +38,6 @@ pub struct RowDelta {
     /// Inserted row ids in the *post-delta* numbering: the contiguous tail
     /// `new_n_rows - inserts.len() .. new_n_rows`, ascending.
     pub inserted: Vec<RowId>,
-    /// For each inserted row (parallel to `inserted`): the attributes on
-    /// which its label was already present — either in the post-delete base
-    /// column or on an *earlier* row of the same insert batch. A derived
-    /// partition over attribute set `X` can only gain or grow a cluster
-    /// through an inserted row whose labels are non-fresh on all of `X`,
-    /// which is exactly the PLI cache's surgical-eviction test.
-    pub nonfresh_attrs: Vec<AttrSet>,
-    /// Per column: the deduplicated labels used by inserted rows. These are
-    /// the only labels whose clusters a single-attribute partition patch
-    /// must rebuild.
-    pub touched_labels: Vec<Vec<u32>>,
-}
-
-impl RowDelta {
-    /// True when the batch contained no inserts and no deletes.
-    pub fn is_empty(&self) -> bool {
-        self.deleted.is_empty() && self.inserted.is_empty()
-    }
-
-    /// The attributes on which *some* inserted row carries a non-fresh
-    /// label — the columns whose partitions may have changed beyond pure
-    /// row removal.
-    pub fn changed_columns(&self) -> AttrSet {
-        let mut set = AttrSet::empty();
-        for mask in &self.nonfresh_attrs {
-            set = set.union(mask);
-        }
-        set
-    }
-
-    /// The old-id → new-id mapping induced by the deletes: `remap[t]` is
-    /// the post-delta id of pre-delta row `t`, or `u32::MAX` if `t` was
-    /// deleted. Survivor ids are assigned in order, so the map is strictly
-    /// increasing on survivors.
-    pub fn row_remap(&self) -> Vec<u32> {
-        let mut remap = Vec::with_capacity(self.old_n_rows);
-        let mut del = self.deleted.iter().peekable();
-        let mut next = 0u32;
-        for t in 0..self.old_n_rows as u32 {
-            if del.peek() == Some(&&t) {
-                del.next();
-                remap.push(u32::MAX);
-            } else {
-                remap.push(next);
-                next += 1;
-            }
-        }
-        remap
-    }
 }
 
 /// The per-column string→label dictionaries of a finished
@@ -189,21 +134,6 @@ impl ColumnDictionaries {
 mod tests {
     use super::*;
     use crate::RelationBuilder;
-
-    #[test]
-    fn row_remap_skips_deleted_ids() {
-        let delta = RowDelta {
-            old_n_rows: 5,
-            new_n_rows: 3,
-            deleted: vec![1, 3],
-            inserted: vec![],
-            nonfresh_attrs: vec![],
-            touched_labels: vec![vec![], vec![]],
-        };
-        assert_eq!(delta.row_remap(), vec![0, u32::MAX, 1, u32::MAX, 2]);
-        assert!(!delta.is_empty());
-        assert!(delta.changed_columns().is_empty());
-    }
 
     #[test]
     fn dictionaries_reuse_base_labels_and_allocate_fresh_ones() {

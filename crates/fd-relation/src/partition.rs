@@ -132,15 +132,6 @@ impl Partition {
         p
     }
 
-    /// The empty partition over a relation with `n_rows` total rows: no
-    /// clusters, offsets fence `[0]`. This is the canonical degenerate form
-    /// every constructor produces when nothing is covered — exposed so
-    /// callers that *know* the result is empty (e.g. a delta that deletes
-    /// every row) can state it directly instead of remapping into it.
-    pub fn empty(n_rows: usize) -> Partition {
-        Partition { rows: Vec::new(), offsets: vec![0], n_rows }
-    }
-
     /// Iterates the clusters as row-id slices, in canonical order.
     pub fn clusters(&self) -> impl ExactSizeIterator<Item = &[RowId]> + Clone + '_ {
         self.offsets
@@ -354,45 +345,6 @@ impl Partition {
         }
         self.rows = rows;
         self.offsets = offsets;
-    }
-
-    /// The partition induced on the relation that remains after deleting
-    /// rows: `remap[t]` gives each old row's new id (`u32::MAX` = deleted,
-    /// see [`crate::RowDelta::row_remap`]). Deleted rows drop out of their
-    /// clusters, clusters shrinking below two rows are stripped, and the
-    /// result is re-canonicalised (a cluster whose first row died may sort
-    /// differently). Because deleting rows *exactly* induces the partition
-    /// of the surviving sub-relation, this is a lossless patch for any
-    /// attribute set — single columns and derived products alike.
-    ///
-    /// # Panics
-    /// Panics if `remap` is shorter than this partition's row ids require.
-    pub fn remap_rows(&self, remap: &[u32], new_n_rows: usize) -> Partition {
-        let mut rows: Vec<RowId> = Vec::with_capacity(self.rows.len());
-        let mut offsets: Vec<u32> = vec![0];
-        for cluster in self.clusters() {
-            let start = rows.len();
-            rows.extend(cluster.iter().filter_map(|&t| {
-                let v = remap[t as usize];
-                (v != u32::MAX).then_some(v)
-            }));
-            if rows.len() - start > 1 {
-                offsets.push(rows.len() as u32);
-            } else {
-                rows.truncate(start);
-            }
-        }
-        let mut out = Partition { rows, offsets, n_rows: new_n_rows };
-        out.canonicalize_cluster_order();
-        debug_assert!(out.is_canonical());
-        out
-    }
-
-    /// The same clusters reinterpreted over a relation with `n_rows` total
-    /// rows — used after an insert batch whose rows joined no stored
-    /// cluster, where only the error denominator changes.
-    pub fn with_total_rows(&self, n_rows: usize) -> Partition {
-        Partition { rows: self.rows.clone(), offsets: self.offsets.clone(), n_rows }
     }
 
     /// True if every cluster of `self` is contained in some cluster of
@@ -655,38 +607,6 @@ mod tests {
         let key = Partition::from_clusters(vec![], 6);
         assert_eq!(key.error(), 0.0);
         assert_eq!(key.error_num(), 0);
-    }
-
-    #[test]
-    fn remap_rows_matches_partition_of_the_surviving_relation() {
-        let r = patient();
-        let mut mutated = r.clone();
-        let delta = mutated.apply_delta(&[], &[1, 4, 8]);
-        let remap = delta.row_remap();
-        for a in 0..r.n_attrs() as AttrId {
-            for b in 0..r.n_attrs() as AttrId {
-                // Patch an old derived partition and compare with the one
-                // computed fresh on the surviving relation.
-                let old = Partition::of_column(&r, a)
-                    .stripped()
-                    .product(&Partition::of_column(&r, b).stripped());
-                let patched = old.remap_rows(&remap, mutated.n_rows());
-                let fresh = Partition::of_column(&mutated, a)
-                    .stripped()
-                    .product(&Partition::of_column(&mutated, b).stripped());
-                assert_eq!(patched, fresh, "attrs {a},{b}");
-            }
-        }
-    }
-
-    #[test]
-    fn with_total_rows_only_rescales_the_error() {
-        let p = Partition::from_clusters(vec![vec![0, 1, 2]], 4);
-        let grown = p.with_total_rows(8);
-        assert_eq!(grown.to_nested(), p.to_nested());
-        assert_eq!(grown.n_rows(), 8);
-        assert_eq!(grown.error_num(), p.error_num());
-        assert!((grown.error() - 2.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //! most one relation's worth of rows. Over budget, the least-recently-used
 //! unpinned entry goes first (ties again broken by `AttrSet` order).
 
-use crate::delta::RowDelta;
 use crate::partition::{Partition, ProductScratch};
-use crate::relation::{Relation, RowId};
-use fd_core::{AttrId, AttrSet, Budget, FastHashMap, FastHashSet, Termination};
+use crate::relation::Relation;
+use fd_core::{AttrSet, FastHashMap};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -86,10 +85,6 @@ pub struct PliCacheStats {
     pub evictions_pressure: usize,
     /// Times [`PliCache::on_memory_pressure`] shrank the budget.
     pub pressure_shrinks: usize,
-    /// Derived entries dropped by [`PliCache::apply_delta`] because an
-    /// inserted row could have changed their clusters. Correctness-driven,
-    /// so *not* part of the capacity-driven `evictions` partition.
-    pub surgical_evictions: usize,
     /// High-water mark of unpinned resident rows.
     pub resident_rows_hwm: usize,
 }
@@ -171,33 +166,6 @@ impl PliCache {
         self.entries.contains_key(attrs)
     }
 
-    /// The stripped partition `Π̂_attrs`, served from the cache or derived
-    /// from the cheapest cached ancestor.
-    ///
-    /// # Panics
-    /// Panics if `attrs` is empty (`Π_∅` is one all-rows cluster; callers
-    /// special-case it).
-    pub fn get(&mut self, relation: &Relation, attrs: &AttrSet) -> Arc<Partition> {
-        match self.get_impl(relation, attrs, None) {
-            Ok(p) => p,
-            // Unreachable: only budget polls produce errors.
-            Err(_) => unreachable!("unbudgeted PLI lookup cannot trip"),
-        }
-    }
-
-    /// [`PliCache::get`] polling `budget` inside every product it computes
-    /// (the `POLL_STRIDE` convention). On a trip the cache keeps every
-    /// intermediate finished so far; re-running after the trip resumes from
-    /// them.
-    pub fn get_budgeted(
-        &mut self,
-        relation: &Relation,
-        attrs: &AttrSet,
-        budget: &Budget,
-    ) -> Result<Arc<Partition>, Termination> {
-        self.get_impl(relation, attrs, Some(budget))
-    }
-
     /// The stripped single-attribute partition `Π̂_{a}` (always a hit after
     /// first use; pinned).
     pub fn single(&mut self, relation: &Relation, a: fd_core::AttrId) -> Arc<Partition> {
@@ -232,91 +200,6 @@ impl PliCache {
         }
     }
 
-    /// Patches every resident partition across a row delta instead of
-    /// flushing the cache. `relation` must be the *post-delta* relation the
-    /// delta was produced from.
-    ///
-    /// Three rules, in order:
-    ///
-    /// 1. **Deletes patch everything.** Removing rows induces the partition
-    ///    of the surviving sub-relation exactly, so every entry — single or
-    ///    derived — is remapped in place via
-    ///    [`Partition::remap_rows`]. No eviction is ever needed for a
-    ///    delete.
-    /// 2. **Inserts evict only provably-at-risk derived entries.** A
-    ///    derived `Π̂_X` can only change if some inserted row joins (or
-    ///    forms) a cluster, which requires its labels on *all* of `X` to be
-    ///    non-fresh ([`RowDelta::nonfresh_attrs`]). Entries failing that
-    ///    test for every inserted row are kept verbatim; the rest are
-    ///    dropped and counted as `surgical_evictions`.
-    /// 3. **Inserts patch singles in place.** Only clusters of the labels
-    ///    an insert touched ([`RowDelta::touched_labels`]) are rebuilt from
-    ///    the new column; untouched clusters are kept as-is.
-    ///
-    /// Returns the number of entries surgically evicted.
-    pub fn apply_delta(&mut self, relation: &Relation, delta: &RowDelta) -> usize {
-        if delta.is_empty() {
-            return 0;
-        }
-        // Rule 2 first: drop derived entries an inserted row could reach.
-        let mut evicted = 0usize;
-        if !delta.inserted.is_empty() {
-            let mut victims: Vec<AttrSet> = self
-                .entries
-                .keys()
-                .filter(|k| k.len() > 1 && delta.nonfresh_attrs.iter().any(|m| k.is_subset_of(m)))
-                .copied()
-                .collect();
-            victims.sort();
-            for key in victims {
-                if let Some(old) = self.entries.remove(&key) {
-                    if !old.pinned {
-                        self.resident_rows -= old.partition.covered_rows();
-                        self.unpinned -= 1;
-                        self.lru.remove(&(old.last_used, key));
-                    }
-                    self.stats.surgical_evictions += 1;
-                    fd_telemetry::counter!("cache.surgical_evictions", 1);
-                    evicted += 1;
-                }
-            }
-        }
-        // Rules 1 and 3: patch every survivor in place. LRU positions are
-        // untouched (a patch is maintenance, not a use); only the resident
-        // row accounting moves with the new cluster sizes.
-        let remap = (!delta.deleted.is_empty()).then(|| delta.row_remap());
-        let keys: Vec<AttrSet> = self.entries.keys().copied().collect();
-        for key in keys {
-            let Some(entry) = self.entries.get(&key) else { continue };
-            let mut patched = if delta.new_n_rows == 0 {
-                // The delta emptied the table (all rows deleted, nothing
-                // inserted — `new_n_rows` counts post-insert rows). Every
-                // partition collapses to the canonical empty form; stating
-                // it directly guarantees the offsets fence stays `[0]`, so
-                // derivation over the emptied cache never walks an empty
-                // fence.
-                Partition::empty(0)
-            } else {
-                match &remap {
-                    Some(r) => entry.partition.remap_rows(r, delta.new_n_rows),
-                    None => entry.partition.with_total_rows(delta.new_n_rows),
-                }
-            };
-            if !delta.inserted.is_empty() && key.len() == 1 {
-                let a = key.first().unwrap_or_default();
-                patched = patch_single(&patched, relation, a, &delta.touched_labels[a as usize]);
-            }
-            let Some(entry) = self.entries.get_mut(&key) else { continue };
-            if !entry.pinned {
-                self.resident_rows -= entry.partition.covered_rows();
-                self.resident_rows += patched.covered_rows();
-            }
-            entry.partition = Arc::new(patched);
-        }
-        self.evict_over_budget();
-        evicted
-    }
-
     /// Donates an externally computed partition (e.g. a Tane level node) to
     /// the cache, making it available as a derivation ancestor.
     pub fn insert(&mut self, attrs: AttrSet, partition: Arc<Partition>) {
@@ -330,17 +213,18 @@ impl PliCache {
         self.evict_over_budget();
     }
 
-    fn get_impl(
-        &mut self,
-        relation: &Relation,
-        attrs: &AttrSet,
-        budget: Option<&Budget>,
-    ) -> Result<Arc<Partition>, Termination> {
+    /// The stripped partition `Π̂_attrs`, served from the cache or derived
+    /// from the cheapest cached ancestor.
+    ///
+    /// # Panics
+    /// Panics if `attrs` is empty (`Π_∅` is one all-rows cluster; callers
+    /// special-case it).
+    pub fn get(&mut self, relation: &Relation, attrs: &AttrSet) -> Arc<Partition> {
         assert!(!attrs.is_empty(), "PliCache::get requires a non-empty attribute set");
         if let Some(p) = self.bump(attrs) {
             self.stats.hits += 1;
             fd_telemetry::counter!("pli_cache.hits", 1);
-            return Ok(p);
+            return p;
         }
         self.stats.misses += 1;
         fd_telemetry::counter!("pli_cache.misses", 1);
@@ -361,7 +245,7 @@ impl PliCache {
             let a = attrs.iter().next().unwrap_or_default();
             let p = Arc::new(Partition::of_column(relation, a).stripped());
             self.store(*attrs, Arc::clone(&p), true);
-            return Ok(p);
+            return p;
         }
         // Cheapest cached strict-subset ancestor: smallest covered_rows,
         // ties broken by AttrSet order (deterministic under hash iteration).
@@ -411,10 +295,7 @@ impl PliCache {
             };
             self.stats.products += 1;
             fd_telemetry::counter!("pli_cache.products", 1);
-            let next = match budget {
-                Some(b) => acc.product_with_budget(&single, &mut self.scratch, b)?,
-                None => acc.product_with(&single, &mut self.scratch),
-            };
+            let next = acc.product_with(&single, &mut self.scratch);
             acc_key.insert(a);
             acc = Arc::new(next);
             if !degraded {
@@ -422,7 +303,7 @@ impl PliCache {
             }
         }
         self.evict_over_budget();
-        Ok(acc)
+        acc
     }
 
     /// Marks `key` used now and returns its partition, maintaining the LRU
@@ -521,38 +402,6 @@ enum EvictReason {
     RowBudget,
     EntryCap,
     Pressure,
-}
-
-/// Rebuilds the clusters of the labels an insert batch touched in a stripped
-/// single-attribute partition, keeping every untouched cluster verbatim.
-/// `base` must already reflect the delta's deletes and row count; `relation`
-/// is the post-delta relation the touched clusters are rebuilt from.
-fn patch_single(
-    base: &Partition,
-    relation: &Relation,
-    a: AttrId,
-    touched: &[u32],
-) -> Partition {
-    if touched.is_empty() {
-        return base.clone();
-    }
-    let touched_set: FastHashSet<u32> = touched.iter().copied().collect();
-    // Rows of every touched label, gathered in one column scan (ascending
-    // row order by construction).
-    let mut rows_by: FastHashMap<u32, Vec<RowId>> = FastHashMap::default();
-    for (t, &label) in relation.column(a).iter().enumerate() {
-        if touched_set.contains(&label) {
-            rows_by.entry(label).or_default().push(t as RowId);
-        }
-    }
-    let mut clusters: Vec<Vec<RowId>> = base
-        .clusters()
-        .filter(|c| !touched_set.contains(&relation.label(c[0], a)))
-        .map(<[RowId]>::to_vec)
-        .collect();
-    clusters.extend(rows_by.into_values().filter(|rows| rows.len() > 1));
-    clusters.sort_by_key(|c| c[0]);
-    Partition::from_clusters(clusters, relation.n_rows())
 }
 
 /// [`crate::partition::sampling_clusters`] through the cache: the
@@ -691,44 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_deleting_every_row_keeps_cache_transparent() {
-        let mut r = patient();
-        let mut cache = PliCache::with_default_budget();
-        let keys = [
-            AttrSet::single(1),
-            AttrSet::from_attrs([1u16, 2]),
-            AttrSet::from_attrs([1u16, 2, 3]),
-        ];
-        for k in &keys {
-            let _ = cache.get(&r, k);
-        }
-        let all: Vec<RowId> = (0..r.n_rows() as RowId).collect();
-        let delta = r.apply_delta(&[], &all);
-        cache.apply_delta(&r, &delta);
-        assert_eq!(r.n_rows(), 0);
-        for k in &keys {
-            let got = cache.get(&r, k);
-            assert_eq!(*got, fresh(&r, k), "{k:?}");
-            assert_eq!(got.n_clusters(), 0);
-            assert_eq!(got.covered_rows(), 0);
-            assert_eq!(got.n_rows(), 0);
-        }
-        // Deriving an uncached superset walks the product over the emptied
-        // ancestors — it must terminate cleanly, never indexing past the
-        // `[0]` offsets fence.
-        let sup = AttrSet::from_attrs([1u16, 2, 4]);
-        assert_eq!(*cache.get(&r, &sup), fresh(&r, &sup));
-        // Refilling the emptied table stays transparent too (insert-only
-        // delta on a zero-row base: every label is fresh, singles patch).
-        let delta2 = r.apply_delta(&[vec![0, 0, 1, 0, 2], vec![0, 1, 1, 0, 2]], &[]);
-        cache.apply_delta(&r, &delta2);
-        assert_eq!(r.n_rows(), 2);
-        for k in keys.iter().chain([&sup]) {
-            assert_eq!(*cache.get(&r, k), fresh(&r, k), "{k:?} after refill");
-        }
-    }
-
-    #[test]
     fn hit_rate_reflects_lookups() {
         let r = patient();
         let mut cache = PliCache::with_default_budget();
@@ -738,108 +549,6 @@ mod tests {
         let _ = cache.get(&r, &attrs); // hit
         let s = cache.stats();
         assert!(s.hit_rate() > 0.0 && s.hit_rate() < 1.0);
-    }
-
-    #[test]
-    fn budgeted_get_trips_on_cancelled_token() {
-        let r = patient();
-        let mut cache = PliCache::with_default_budget();
-        let budget = Budget::unlimited();
-        let ok = cache.get_budgeted(&r, &AttrSet::from_attrs([1u16, 3]), &budget);
-        assert!(ok.is_ok());
-        // Note: small relations finish products between poll strides, so a
-        // cancel mid-product is exercised in the partition tests; here we
-        // check the plumbing accepts a budget at all and hits stay cheap.
-        let hit = cache.get_budgeted(&r, &AttrSet::from_attrs([1u16, 3]), &budget);
-        assert!(hit.is_ok());
-    }
-
-    #[test]
-    fn delete_only_delta_patches_every_entry_without_eviction() {
-        let r = patient();
-        let mut cache = PliCache::with_default_budget();
-        let keys = [
-            AttrSet::single(1),
-            AttrSet::single(3),
-            AttrSet::from_attrs([1u16, 2]),
-            AttrSet::from_attrs([1u16, 3]),
-            AttrSet::from_attrs([2u16, 3, 4]),
-        ];
-        for attrs in &keys {
-            let _ = cache.get(&r, attrs);
-        }
-        let len_before = cache.len();
-        let mut mutated = r.clone();
-        let delta = mutated.apply_delta(&[], &[1, 4, 6]);
-        let evicted = cache.apply_delta(&mutated, &delta);
-        assert_eq!(evicted, 0, "deletes are exactly patchable");
-        assert_eq!(cache.len(), len_before);
-        // Every resident partition now equals a fresh computation on the
-        // mutated relation — checked directly, no miss-path recompute.
-        for (key, entry) in &cache.entries {
-            assert_eq!(*entry.partition, fresh(&mutated, key), "{key:?}");
-        }
-    }
-
-    #[test]
-    fn insert_delta_patches_singles_and_evicts_only_reachable_deriveds() {
-        let r = patient();
-        let mut cache = PliCache::with_default_budget();
-        let derived = [
-            AttrSet::from_attrs([1u16, 2]),
-            AttrSet::from_attrs([1u16, 3]),
-            AttrSet::from_attrs([2u16, 3, 4]),
-        ];
-        for attrs in &derived {
-            let _ = cache.get(&r, attrs);
-        }
-        let mut mutated = r.clone();
-        // One row duplicating row 0 (non-fresh on every attribute: every
-        // derived entry is reachable) plus one row of entirely fresh labels
-        // (reaches nothing).
-        let dup: Vec<u32> = (0..r.n_attrs()).map(|a| r.label(0, a as AttrId)).collect();
-        let fresh_row: Vec<u32> =
-            (0..r.n_attrs()).map(|a| r.n_distinct(a as AttrId) as u32 + 7).collect();
-        // Derivation caches intermediates too ({2,3} on the way to
-        // {2,3,4}): every multi-attribute entry counts.
-        let deriveds_resident = cache.entries.keys().filter(|k| k.len() > 1).count();
-        let delta = mutated.apply_delta(&[dup, fresh_row], &[2]);
-        let evicted = cache.apply_delta(&mutated, &delta);
-        assert_eq!(evicted, deriveds_resident, "all deriveds sat under the duplicate's mask");
-        assert_eq!(cache.stats().surgical_evictions, evicted);
-        for attrs in &derived {
-            assert!(!cache.contains(attrs));
-        }
-        // Pinned singles were patched in place, and exactly.
-        for a in 0..r.n_attrs() as AttrId {
-            let key = AttrSet::single(a);
-            if cache.contains(&key) {
-                assert_eq!(*cache.get(&mutated, &key), fresh(&mutated, &key), "single {a}");
-            }
-        }
-        // The cache stays transparent for the evicted sets too (re-derived).
-        for attrs in &derived {
-            assert_eq!(*cache.get(&mutated, attrs), fresh(&mutated, attrs), "{attrs:?}");
-        }
-    }
-
-    #[test]
-    fn fresh_label_only_insert_keeps_derived_entries() {
-        let r = patient();
-        let mut cache = PliCache::with_default_budget();
-        let attrs = AttrSet::from_attrs([1u16, 2]);
-        let _ = cache.get(&r, &attrs);
-        let mut mutated = r.clone();
-        let fresh_row: Vec<u32> =
-            (0..r.n_attrs()).map(|a| r.n_distinct(a as AttrId) as u32 + 3).collect();
-        let delta = mutated.apply_delta(&[fresh_row], &[]);
-        let evicted = cache.apply_delta(&mutated, &delta);
-        assert_eq!(evicted, 0, "a fully-fresh row cannot join any cluster");
-        assert!(cache.contains(&attrs));
-        for (key, entry) in &cache.entries {
-            assert_eq!(*entry.partition, fresh(&mutated, key), "{key:?}");
-            assert_eq!(entry.partition.n_rows(), mutated.n_rows());
-        }
     }
 
     #[test]

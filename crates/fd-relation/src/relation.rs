@@ -271,35 +271,15 @@ impl Relation {
             }
             self.n_rows = old_n_rows - deleted.len();
         }
-        // Append inserts, recording per-row which labels were already
-        // present (in the post-delete base, or on an earlier batch row).
+        // Append inserts in batch order.
         let base_rows = self.n_rows;
-        let mut nonfresh_attrs: Vec<AttrSet> = Vec::with_capacity(inserts.len());
-        let mut touched_labels: Vec<Vec<u32>> = vec![Vec::new(); n_attrs];
-        if !inserts.is_empty() {
-            let mut present: Vec<FastHashSet<u32>> = self
-                .columns
-                .iter()
-                .map(|col| col.iter().copied().collect())
-                .collect();
-            for row in inserts {
-                let mut mask = AttrSet::empty();
-                for (a, &label) in row.iter().enumerate() {
-                    if !present[a].insert(label) {
-                        mask.insert(a as AttrId);
-                    }
-                    touched_labels[a].push(label);
-                    self.columns[a].push(label);
-                }
-                nonfresh_attrs.push(mask);
-            }
-            self.n_rows = base_rows + inserts.len();
-            assert!(self.n_rows <= u32::MAX as usize, "row count exceeds u32 range");
-            for labels in &mut touched_labels {
-                labels.sort_unstable();
-                labels.dedup();
+        for row in inserts {
+            for (col, &label) in self.columns.iter_mut().zip(row) {
+                col.push(label);
             }
         }
+        self.n_rows = base_rows + inserts.len();
+        assert!(self.n_rows <= u32::MAX as usize, "row count exceeds u32 range");
         // Tighten the distinct bound to max present label + 1.
         for (col, distinct) in self.columns.iter().zip(self.distinct.iter_mut()) {
             *distinct = col.iter().max().map_or(0, |&m| m + 1);
@@ -309,8 +289,6 @@ impl Relation {
             new_n_rows: self.n_rows,
             inserted: (base_rows as RowId..self.n_rows as RowId).collect(),
             deleted,
-            nonfresh_attrs,
-            touched_labels,
         }
     }
 
@@ -829,27 +807,9 @@ mod tests {
         assert_eq!(delta.new_n_rows, 4);
         assert_eq!(delta.deleted, vec![0, 2]);
         assert_eq!(delta.inserted, vec![2, 3]);
-        // Insert 1: x-label 1 pre-exists, y-label 2 is fresh.
-        assert_eq!(delta.nonfresh_attrs[0], AttrSet::single(0));
-        // Insert 2: x-label 5 fresh, y-label 0 pre-exists.
-        assert_eq!(delta.nonfresh_attrs[1], AttrSet::single(1));
-        assert_eq!(delta.touched_labels[0], vec![1, 5]);
-        assert_eq!(delta.touched_labels[1], vec![0, 2]);
         // distinct stays a valid bound: max present label + 1.
         assert_eq!(r.n_distinct(0), 6);
         assert_eq!(r.n_distinct(1), 3);
-        assert_eq!(delta.row_remap(), vec![u32::MAX, 0, u32::MAX, 1]);
-    }
-
-    #[test]
-    fn nonfresh_catches_labels_introduced_earlier_in_the_batch() {
-        let mut r =
-            Relation::from_encoded_columns("d", vec!["x".into()], vec![vec![0, 1]]);
-        let delta = r.apply_delta(&[vec![7], vec![7]], &[]);
-        // First use of 7 is fresh; the second row must see it as present,
-        // otherwise a new two-row cluster would slip past cache eviction.
-        assert_eq!(delta.nonfresh_attrs[0], AttrSet::empty());
-        assert_eq!(delta.nonfresh_attrs[1], AttrSet::single(0));
     }
 
     #[test]

@@ -604,70 +604,3 @@ fn novel_agree_sets_fold_matches_sequential_novelty_scan() {
         }
     }
 }
-
-/// A relation plus one insert/delete wave for delta-maintenance tests.
-/// Insert labels range over 0..6 so both reused and fresh labels occur.
-/// One scenario in eight deletes *every* row, exercising the empty-relation
-/// edge where remapped partitions collapse to the `[0]` offsets fence.
-fn delta_strategy() -> impl Strategy<Value = (Relation, Vec<Vec<u32>>, Vec<RowId>)> {
-    relation_strategy().prop_flat_map(|relation| {
-        let cols = relation.n_attrs();
-        let rows = relation.n_rows() as u32;
-        let deletes = proptest::prop_oneof![
-            7 => proptest::collection::vec(0..rows, 0..=6),
-            1 => Just((0..rows).collect::<Vec<RowId>>()),
-        ];
-        (
-            Just(relation),
-            proptest::collection::vec(
-                proptest::collection::vec(0u32..6, cols..=cols),
-                0..=4,
-            ),
-            deletes,
-        )
-    })
-}
-
-/// Fresh (uncached) stripped partition for an attribute set.
-fn fresh_partition(r: &Relation, attrs: &AttrSet) -> Partition {
-    let mut iter = attrs.iter();
-    let first = iter.next().expect("non-empty attribute set");
-    let mut p = Partition::of_column(r, first).stripped();
-    for a in iter {
-        p = p.product(&Partition::of_column(r, a).stripped());
-    }
-    p
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// After `PliCache::apply_delta`, every cached key reads back as the
-    /// partition a cold computation on the mutated relation would produce —
-    /// surgical eviction plus in-place patching never leaves a stale entry.
-    #[test]
-    fn pli_cache_stays_transparent_across_deltas(scenario in delta_strategy()) {
-        let (relation, inserts, deletes) = scenario;
-        let mut cache = PliCache::new(1 << 20);
-        let m = relation.n_attrs() as AttrId;
-        let mut keys: Vec<AttrSet> = (0..m).map(AttrSet::single).collect();
-        for a in 0..m {
-            for b in (a + 1)..m {
-                keys.push(AttrSet::from_attrs([a, b]));
-            }
-        }
-        if m >= 3 {
-            keys.push(AttrSet::from_attrs(0..3));
-        }
-        for key in &keys {
-            cache.get(&relation, key);
-        }
-        let mut mutated = relation.clone();
-        let delta = mutated.apply_delta(&inserts, &deletes);
-        cache.apply_delta(&mutated, &delta);
-        for key in &keys {
-            let got = cache.get(&mutated, key);
-            prop_assert_eq!(&*got, &fresh_partition(&mutated, key), "key {:?}", key);
-        }
-    }
-}

@@ -3,24 +3,21 @@
 //! A registered dataset bundles everything the serving layer needs to
 //! answer requests without re-reading the source:
 //!
-//! * the authoritative [`Relation`] (owned by the [`DeltaEngine`], which
-//!   also keeps the exact FD cover patched across row deltas);
+//! * the [`DeltaEngine`], which owns the only copy of the [`Relation`] and
+//!   keeps the exact FD cover patched across row deltas;
 //! * the column dictionaries, so later raw-string inserts encode
 //!   consistently with the base table;
-//! * a [`PliCache`] with the single-attribute partitions pinned, shared by
-//!   every discovery run against the dataset and delta-maintained in place;
 //! * a monotonically increasing **version**, bumped once per applied delta.
 //!
-//! Jobs never hold the dataset lock while a client waits on something else:
-//! reads snapshot an `Arc<Relation>` plus version and drop the lock;
-//! discovery holds it only for the dataset it runs against (the PLI cache
-//! is hot shared state), so traffic on other datasets proceeds in parallel.
+//! Jobs hold the dataset lock only briefly: discover, validate and keys
+//! take an `Arc<Relation>` snapshot plus its version and run without the
+//! lock, so a delta never waits for a running discovery. A delta copies the
+//! relation only while some job still holds the old snapshot.
 
 use eulerfd::{DeltaEngine, DeltaReport};
-use fd_core::{AttrId, FdSet};
+use fd_core::FdSet;
 use fd_relation::{
-    read_csv_file_with_dictionaries, ColumnDictionaries, CsvOptions, NullLabeling, PliCache,
-    Relation, RowId,
+    read_csv_file_with_dictionaries, ColumnDictionaries, CsvOptions, NullLabeling, Relation, RowId,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -72,20 +69,16 @@ pub struct DatasetInfo {
 pub(crate) struct Dataset {
     name: String,
     version: u64,
-    /// Immutable snapshot of the current version, cheap to clone out.
-    snapshot: Arc<Relation>,
     /// `None` when registered from an already-encoded relation.
     dicts: Option<ColumnDictionaries>,
-    /// Owns the authoritative relation and the maintained FD cover.
+    /// Owns the relation and the maintained FD cover.
     engine: DeltaEngine,
-    /// Pinned singles + derived partitions, delta-maintained.
-    pli: PliCache,
 }
 
 impl Dataset {
     /// `(snapshot, version)` of the current state.
     pub(crate) fn snapshot(&self) -> (Arc<Relation>, u64) {
-        (Arc::clone(&self.snapshot), self.version)
+        (self.engine.snapshot(), self.version)
     }
 
     /// The delta-maintained exact FD cover.
@@ -93,15 +86,19 @@ impl Dataset {
         self.engine.fds()
     }
 
-    /// Column count (stable across versions).
-    pub(crate) fn n_attrs(&self) -> usize {
-        self.snapshot.n_attrs()
+    /// The current version.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
     }
 
-    /// The shared PLI cache (used by cached discovery while the dataset
-    /// lock is held).
-    pub(crate) fn pli_mut(&mut self) -> &mut PliCache {
-        &mut self.pli
+    /// Column count (stable across versions).
+    pub(crate) fn n_attrs(&self) -> usize {
+        self.engine.relation().n_attrs()
+    }
+
+    /// Current row count.
+    pub(crate) fn n_rows(&self) -> usize {
+        self.engine.relation().n_rows()
     }
 
     /// Encodes raw string rows through the registration dictionaries.
@@ -128,17 +125,15 @@ impl Dataset {
             .collect()
     }
 
-    /// Applies a row delta: the engine patches relation + FD cover, the PLI
-    /// cache is patched through the same [`fd_relation::RowDelta`], the
-    /// version bumps, and the snapshot is refreshed.
+    /// Applies a row delta: the engine patches relation + FD cover and the
+    /// version bumps. Snapshots of earlier versions stay valid.
     pub(crate) fn apply_delta(
         &mut self,
         inserts: &[Vec<u32>],
         deletes: &[RowId],
     ) -> (DeltaReport, u64) {
-        let report = self.engine.apply_delta_with_cache(inserts, deletes, &mut self.pli);
+        let report = self.engine.apply_delta(inserts, deletes);
         self.version += 1;
-        self.snapshot = Arc::new(self.engine.relation().clone());
         fd_telemetry::counter!("server.deltas_applied", 1);
         (report, self.version)
     }
@@ -147,8 +142,8 @@ impl Dataset {
         DatasetInfo {
             name: self.name.clone(),
             version: self.version,
-            rows: self.snapshot.n_rows(),
-            cols: self.snapshot.n_attrs(),
+            rows: self.n_rows(),
+            cols: self.n_attrs(),
             fd_count: self.engine.fds().len(),
         }
     }
@@ -170,7 +165,7 @@ impl Catalog {
     /// Registers an already-encoded relation (the test/benchmark path —
     /// no dictionaries, so later deltas must send encoded rows).
     /// Registration runs the cold exact discovery that seeds the
-    /// [`DeltaEngine`] and pins the single-attribute partitions.
+    /// [`DeltaEngine`].
     pub fn register_relation(
         &self,
         name: &str,
@@ -181,7 +176,7 @@ impl Catalog {
     }
 
     /// Registers a dataset from a CSV file: parse → dictionary encode →
-    /// cold discovery → pinned PLI singles.
+    /// cold discovery.
     pub fn register_csv(
         &self,
         name: &str,
@@ -209,19 +204,11 @@ impl Catalog {
                 return Err(CatalogError::AlreadyRegistered(name.to_owned()));
             }
         }
-        let mut pli = PliCache::with_default_budget();
-        for a in 0..relation.n_attrs() as AttrId {
-            let _ = pli.single(&relation, a);
-        }
-        let snapshot = Arc::new(relation.clone());
-        let engine = DeltaEngine::new(relation, threads);
         let dataset = Dataset {
             name: name.to_owned(),
             version: 0,
-            snapshot,
             dicts,
-            engine,
-            pli,
+            engine: DeltaEngine::new(relation, threads),
         };
         let info = dataset.info();
         let mut map = self.datasets.lock().unwrap_or_else(|e| e.into_inner());
@@ -254,7 +241,7 @@ impl Catalog {
             let map = self.datasets.lock().unwrap_or_else(|e| e.into_inner());
             map.values().cloned().collect()
         };
-        let rows = handles.iter().map(|h| lock(h).snapshot.n_rows() as u64).sum();
+        let rows = handles.iter().map(|h| lock(h).n_rows() as u64).sum();
         (handles.len(), rows)
     }
 

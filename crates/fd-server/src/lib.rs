@@ -6,13 +6,12 @@
 //! condvars, so the whole stack stays driveable from ordinary integration
 //! tests:
 //!
-//! * [`Catalog`] — owns registered datasets: the dictionary-encoded
-//!   [`fd_relation::Relation`], its [`fd_relation::ColumnDictionaries`], a
-//!   [`fd_relation::PliCache`] with the single-attribute partitions pinned,
-//!   and a [`eulerfd::DeltaEngine`] that maintains the exact FD cover in
-//!   place across row deltas. Every applied delta bumps the dataset
-//!   *version*; discovery jobs run against an immutable `Arc<Relation>`
-//!   snapshot of one version.
+//! * [`Catalog`] — owns registered datasets: the
+//!   [`fd_relation::ColumnDictionaries`] and a [`eulerfd::DeltaEngine`]
+//!   that owns the dictionary-encoded [`fd_relation::Relation`] and
+//!   maintains the exact FD cover in place across row deltas. Every
+//!   applied delta bumps the dataset *version*; jobs run without the
+//!   dataset lock against an `Arc<Relation>` snapshot of one version.
 //! * [`Session`] — a per-client handle submitting jobs into the queue. Each
 //!   session carries a scheduling *weight*; the dispatcher is a weighted
 //!   round-robin across sessions, so one chatty tenant cannot starve the
@@ -24,8 +23,8 @@
 //!   [`fd_core::CancelToken`], and per-job panic isolation
 //!   (`catch_unwind` + [`fd_core::Watchdog`], the fd-bench RunGuard path).
 //!   Converged discovery results enter a cache keyed by
-//!   `(dataset, version, config)`; applying a delta invalidates every entry
-//!   of that dataset. Each finished job carries a scoped
+//!   `(dataset, version, config)` only while that version is still
+//!   current; applying a delta invalidates every entry of that dataset. Each finished job carries a scoped
 //!   [`fd_telemetry::TelemetrySnapshot`] delta.
 //! * [`protocol`] — the thin line protocol behind `fdtool serve`: one
 //!   request per line over stdin/stdout or a Unix socket, one JSON object

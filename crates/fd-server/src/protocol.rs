@@ -40,7 +40,7 @@ use crate::jobs::{DiscoverOptions, JobOutcome, JobResult, Request, RowsSpec};
 use crate::metrics::TraceEntry;
 use crate::server::{Server, Session};
 use fd_core::{AttrId, AttrSet, FdSet};
-use fd_telemetry::Window;
+use fd_telemetry::{json_number, json_string, Window};
 use std::io::{BufRead, BufReader, Write};
 
 /// Serves the line protocol over any reader/writer pair until EOF or
@@ -408,19 +408,6 @@ fn serve_subscribe<W: Write>(
     Ok(())
 }
 
-/// Formats a number the way [`JsonValue::Num`] does (integers without a
-/// fraction, non-finite never occurs for these sources).
-fn fmt_num(n: f64) -> String {
-    if !n.is_finite() {
-        return "null".to_owned();
-    }
-    if n.fract() == 0.0 && n.abs() < 9e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
 /// Renders `{"key":value}` from pre-rendered value strings.
 fn render_object(fields: &[(String, String)]) -> String {
     let body: Vec<String> =
@@ -430,7 +417,7 @@ fn render_object(fields: &[(String, String)]) -> String {
 
 fn gauges_object(gauges: &[(String, f64)]) -> String {
     let fields: Vec<(String, String)> =
-        gauges.iter().map(|(k, v)| (k.clone(), fmt_num(*v))).collect();
+        gauges.iter().map(|(k, v)| (k.clone(), json_number(*v))).collect();
     render_object(&fields)
 }
 
@@ -439,12 +426,12 @@ fn gauges_object(gauges: &[(String, f64)]) -> String {
 fn render_window(window: &Window) -> String {
     let secs = window.duration.as_secs_f64();
     let counters: Vec<(String, String)> =
-        window.delta.counters.iter().map(|(k, v)| (k.clone(), fmt_num(*v as f64))).collect();
+        window.delta.counters.iter().map(|(k, v)| (k.clone(), json_number(*v as f64))).collect();
     let rates: Vec<(String, String)> = window
         .delta
         .counters
         .iter()
-        .map(|(k, v)| (k.clone(), fmt_num(if secs > 0.0 { *v as f64 / secs } else { 0.0 })))
+        .map(|(k, v)| (k.clone(), json_number(if secs > 0.0 { *v as f64 / secs } else { 0.0 })))
         .collect();
     ok_object(&[
         ("window", JsonValue::Bool(true)),
@@ -464,9 +451,9 @@ fn render_metrics(server: &Server) -> String {
     let plane = server.metrics_plane().expect("caller checked metrics_unavailable");
     let agg = plane.aggregate();
     let counters: Vec<(String, String)> =
-        agg.counters.iter().map(|(k, v)| (k.clone(), fmt_num(*v as f64))).collect();
+        agg.counters.iter().map(|(k, v)| (k.clone(), json_number(*v as f64))).collect();
     let rates: Vec<(String, String)> =
-        agg.rates().iter().map(|(k, v)| (k.clone(), fmt_num(*v))).collect();
+        agg.rates().iter().map(|(k, v)| (k.clone(), json_number(*v))).collect();
     let quantiles: Vec<(String, String)> = agg
         .histograms
         .iter()
@@ -475,9 +462,9 @@ fn render_metrics(server: &Server) -> String {
                 k.clone(),
                 format!(
                     "{{\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                    fmt_num(h.quantile(0.5)),
-                    fmt_num(h.quantile(0.95)),
-                    fmt_num(h.quantile(0.99))
+                    json_number(h.quantile(0.5)),
+                    json_number(h.quantile(0.95)),
+                    json_number(h.quantile(0.99))
                 ),
             )
         })
@@ -490,7 +477,7 @@ fn render_metrics(server: &Server) -> String {
                 "{{\"job\":{},\"dataset\":{},\"wall_ms\":{}}}",
                 e.job,
                 json_string(&e.dataset),
-                fmt_num(e.wall.as_secs_f64() * 1e3)
+                json_number(e.wall.as_secs_f64() * 1e3)
             )
         })
         .collect();
@@ -553,13 +540,7 @@ fn ok_object(fields: &[(&str, JsonValue)]) -> String {
         out.push(':');
         match value {
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
+            JsonValue::Num(n) => out.push_str(&json_number(*n)),
             JsonValue::Str(s) => out.push_str(&json_string(s)),
             JsonValue::Raw(r) => out.push_str(r),
         }
@@ -570,25 +551,6 @@ fn ok_object(fields: &[(&str, JsonValue)]) -> String {
 
 fn err_line(error: &str) -> String {
     format!("{{\"ok\":false,\"error\":{}}}", json_string(error))
-}
-
-/// Minimal JSON string escaper (quotes, backslashes, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -675,11 +637,6 @@ mod tests {
         assert!(lines[0].contains("\"keys\":"), "{text}");
         assert!(lines[1].contains("\"jobs_completed\":"), "{text}");
         assert!(lines[2].contains("\"bye\":true"), "{text}");
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! The server: worker pool, budget apportionment, result cache, sessions.
+//!
+//! Discover, validate and keys copy what they need out under a short
+//! dataset lock and run without it; only a delta holds the lock while it
+//! works. Where both
+//! locks are held, the dataset lock is taken before the result-cache lock.
 
 use crate::catalog::{lock, Catalog, CatalogError, DatasetInfo};
 use crate::jobs::{
@@ -605,8 +610,7 @@ fn run_request(shared: &Shared, request: &Request, budget: &Budget) -> JobOutcom
             };
             let (fds, version, n_attrs) = {
                 let ds = lock(&handle);
-                let (_, version) = ds.snapshot();
-                (ds.fds(), version, ds.n_attrs())
+                (ds.fds(), ds.version(), ds.n_attrs())
             };
             let keys = candidate_keys(n_attrs, &fds);
             JobOutcome::Keys { version, keys, fd_count: fds.len() }
@@ -626,16 +630,18 @@ fn run_request(shared: &Shared, request: &Request, budget: &Budget) -> JobOutcom
                 },
             };
             let (report, version) = ds.apply_delta(&encoded, deletes);
-            let rows = ds.snapshot().0.n_rows();
-            drop(ds);
+            let rows = ds.n_rows();
             // Every cached result of this dataset is now stale: invalidate
             // (version-keyed lookups would already miss, this bounds the
             // cache's memory and makes staleness impossible by construction).
+            // Still under the dataset lock, so a discovery finishing now
+            // sees the new version and never re-inserts a superseded result.
             let dropped = shared
                 .cache
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .invalidate_dataset(dataset);
+            drop(ds);
             if dropped > 0 {
                 shared.stats.cache_invalidations.fetch_add(dropped, Ordering::Relaxed);
                 fd_telemetry::counter!("server.cache_invalidations", dropped);
@@ -660,8 +666,9 @@ fn run_discover(
         Ok(h) => h,
         Err(e) => return JobOutcome::Failed { error: e.to_string() },
     };
-    let mut ds = lock(&handle);
-    let (snapshot, version) = ds.snapshot();
+    // Snapshot under a short lock; discovery runs lock-free, like validate,
+    // so a delta to the same dataset never waits for it.
+    let (snapshot, version) = lock(&handle).snapshot();
     let key = (dataset.to_owned(), version, options.cache_key());
     if let Some(fds) = shared.cache.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
         shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -675,14 +682,9 @@ fn run_discover(
     }
     let mut config = options.to_config();
     config.threads = shared.config.job_threads;
-    let euler = EulerFd::with_config(config);
-    // The dataset lock is held for the run: the PLI cache is hot shared
-    // state (pinned singles + derived partitions), and serializing
-    // discovery per dataset keeps its maintenance trivially correct. Jobs
-    // against *other* datasets proceed in parallel; cancellation still
-    // lands mid-run via the budget's token.
-    let (fds, report) = euler.discover_budgeted_cached(&snapshot, budget, ds.pli_mut());
-    drop(ds);
+    let (fds, report) = EulerFd::with_config(config).discover_budgeted(&snapshot, budget);
+    // Released before the dataset lock below, so a delta need not copy it.
+    drop(snapshot);
     match report.termination {
         // A cancelled job must leave no trace in the result cache.
         Termination::Cancelled | Termination::Panicked => {
@@ -690,11 +692,16 @@ fn run_discover(
         }
         termination => {
             if termination == Termination::Converged {
-                shared
-                    .cache
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(key, fds.clone());
+                // Cache only while the snapshot is still current. Dataset
+                // lock before cache lock, the order the delta path takes.
+                let ds = lock(&handle);
+                if ds.version() == version {
+                    shared
+                        .cache
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .insert(key, fds.clone());
+                }
             }
             JobOutcome::Discovered { version, fds, termination, from_cache: false }
         }

@@ -67,7 +67,7 @@ pub use registry::{
 };
 pub use series::{Aggregate, TimeSeries, Window, DEFAULT_RETENTION};
 pub use snapshot::{
-    prom_name, EventSnapshot, HistogramSnapshot, TelemetrySnapshot, SCHEMA, SNAPSHOT_VERSION,
+    json_number, json_string, prom_name, EventSnapshot, HistogramSnapshot, TelemetrySnapshot, SCHEMA, SNAPSHOT_VERSION,
 };
 pub use span::{current_span, span_depth, PhaseSpan, SpanGuard};
 pub use trace::{

@@ -412,7 +412,7 @@ pub fn prom_name(name: &str) -> String {
 }
 
 /// Escapes a string as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -432,7 +432,7 @@ fn json_string(s: &str) -> String {
 
 /// Formats an `f64` as a JSON number; non-finite values become `null`
 /// (JSON has no NaN/Infinity).
-fn json_number(v: f64) -> String {
+pub fn json_number(v: f64) -> String {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
             format!("{}", v as i64)

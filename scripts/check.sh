@@ -64,7 +64,7 @@ cargo test -q -p fd-relation --test csv_equivalence
 cargo test -q -p fd-core --test proptests lhs_tree_matches_naive_oracle_at_split_scale
 cargo test -q -p fd-core --test proptests invert_batch_matches_literal_algorithm_3
 cargo test -q -p fd-core --lib parallel::
-cargo clippy --workspace -- -D warnings -A clippy::needless_range_loop
+cargo clippy --workspace --all-targets -- -D warnings -A clippy::needless_range_loop
 
 # Multi-core scaling gate: packed-kernel speedup tripwire, byte-identical
 # discovery output across worker counts, and (only when the host has >= 2

@@ -162,39 +162,26 @@ fn delta_counters_join_the_snapshot() {
         return; // plain build: recording is compiled out, nothing to assert
     }
     use eulerfd_suite::algo::DeltaEngine;
-    use eulerfd_suite::core::AttrSet;
-    use eulerfd_suite::relation::{synth::patient, PliCache};
+    use eulerfd_suite::relation::synth::patient;
     let _flag = enable_lock();
     fd_telemetry::set_enabled(true);
     let mut engine = DeltaEngine::new(patient(), 1);
-    let mut cache = PliCache::with_default_budget();
-    let _ = cache.get(engine.relation(), &AttrSet::from_attrs([1u16, 2]));
-    // A duplicate of row 0 is non-fresh on every column, so the resident
-    // derived partition must be surgically evicted; the row-8 delete drives
-    // the delete counter. The revive counter records even when zero — the
-    // site runs unconditionally — so its key must serialize regardless.
+    // A duplicate of row 0 drives the insert counter, the row-8 delete the
+    // delete counter. The revive counter records even when zero — the site
+    // runs unconditionally — so its key must serialize regardless.
     let row0: Vec<u32> = (0..engine.relation().n_attrs())
         .map(|a| engine.relation().label(0, a as u16))
         .collect();
-    engine.apply_delta_with_cache(&[row0], &[8], &mut cache);
+    engine.apply_delta(&[row0], &[8]);
     let snap = fd_telemetry::snapshot();
     fd_telemetry::set_enabled(false);
     let json = snap.to_json();
-    // Schema pin: the four delta-maintenance counters are wire format now.
-    for key in [
-        "delta.rows_inserted",
-        "delta.rows_deleted",
-        "delta.candidates_revived",
-        "cache.surgical_evictions",
-    ] {
+    // Schema pin: the delta-maintenance counters are wire format now.
+    for key in ["delta.rows_inserted", "delta.rows_deleted", "delta.candidates_revived"] {
         assert!(json.contains(&format!("\"{key}\":")), "snapshot must serialize {key}");
     }
     assert!(snap.counter("delta.rows_inserted").unwrap_or(0) >= 1);
     assert!(snap.counter("delta.rows_deleted").unwrap_or(0) >= 1);
-    assert!(
-        snap.counter("cache.surgical_evictions").unwrap_or(0) >= 1,
-        "the non-fresh duplicate row must evict the cached derived partition"
-    );
 }
 
 #[test]

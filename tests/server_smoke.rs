@@ -190,8 +190,7 @@ fn cancelled_job_never_mutates_the_result_cache() {
     // token trips at the next poll) — both must leave the cache untouched.
     let slow = gen("letter", 1500);
     let b_options = DiscoverOptions { th_ncover: Some(0.5), th_pcover: None };
-    let mut b_config = EulerFdConfig::default();
-    b_config.th_ncover = 0.5;
+    let b_config = EulerFdConfig { th_ncover: 0.5, ..EulerFdConfig::default() };
     let (b_fds, _) = EulerFd::with_config(b_config).discover_budgeted(&slow, &Budget::unlimited());
     let expected_b = render_fds(&b_fds);
 
@@ -271,4 +270,64 @@ fn finished_job_records_are_bounded() {
         assert!(matches!(session.wait(job).outcome, JobOutcome::Discovered { .. }), "job {job}");
     }
     assert_eq!(server.stats().jobs_completed, FINISHED_JOBS_KEPT as u64 + 1);
+}
+
+/// Polls until some worker is executing a job, then gives it a moment to
+/// take its dataset snapshot.
+fn wait_until_running(server: &Server) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while server.stats().worker_busy == 0 {
+        assert!(std::time::Instant::now() < deadline, "job never started");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    std::thread::sleep(std::time::Duration::from_millis(200));
+}
+
+#[test]
+fn delta_is_not_blocked_by_a_running_discover() {
+    // A wide table: the all-pairs cover built at registration stays cheap
+    // at this row count, while discovery over 63 columns runs long enough
+    // to still be going when the delta returns.
+    let wide = gen("plista", 1000);
+    let row: Vec<u32> = (0..wide.n_attrs()).map(|a| wide.label(0, a as u16)).collect();
+    let server = Server::start(ServerConfig { workers: 2, ..ServerConfig::default() });
+    server.register_relation("wide", wide).expect("register");
+    let reader = server.session();
+    let writer = server.session();
+    let delta = |expected_version: u64| {
+        let request = Request::Delta {
+            dataset: "wide".into(),
+            inserts: RowsSpec::Encoded(vec![row.clone()]),
+            deletes: vec![],
+        };
+        match &writer.run(request).outcome {
+            JobOutcome::DeltaApplied { version, .. } => assert_eq!(*version, expected_version),
+            other => panic!("delta -> {other:?}"),
+        }
+    };
+
+    // The delta completes while the discover still runs.
+    let job = reader.submit(discover("wide"));
+    wait_until_running(&server);
+    delta(1);
+    assert!(reader.cancel(job), "the delta waited for the running discover");
+    assert!(matches!(reader.wait(job).outcome, JobOutcome::Cancelled { .. }));
+    assert_eq!(server.result_cache_len(), 0);
+
+    // A discover that converges after a delta superseded its snapshot
+    // answers for its own version but is not cached.
+    let job = reader.submit(discover("wide"));
+    wait_until_running(&server);
+    delta(2);
+    assert_eq!(server.stats().worker_busy, 1, "the discover finished before the delta");
+    match &reader.wait(job).outcome {
+        JobOutcome::Discovered { version, termination, from_cache, .. } => {
+            assert_eq!(*version, 1, "the discover's snapshot predates the second delta");
+            assert!(!termination.is_partial());
+            assert!(!from_cache);
+        }
+        other => panic!("superseded discover -> {other:?}"),
+    }
+    assert_eq!(server.result_cache_len(), 0, "a superseded version was cached");
+    assert_eq!(server.catalog().info("wide").expect("info").version, 2);
 }
